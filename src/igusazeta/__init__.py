@@ -21,7 +21,6 @@ from .errors import (
 )
 from .exactpoly import (
     IntPoly,
-    RatPoly,
     compose_linear,
     content_and_primitive,
     derivative,

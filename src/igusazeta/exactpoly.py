@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic over the integers and rationals.
+"""Exact univariate polynomial arithmetic over the integers.
 
 Polynomials are dense: index i of the coefficient sequence holds the
 coefficient of x^i, the entry of highest index is nonzero, and the zero
@@ -9,7 +9,6 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import DegreeZero, ZeroPolynomial
@@ -185,85 +184,6 @@ def _coerce(value) -> IntPoly | None:
     return None
 
 
-class RatPoly:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    Every stored coefficient is a ``Fraction`` (always in lowest terms with a
-    positive denominator) and the trailing stored coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    @classmethod
-    def from_int_poly(cls, f: IntPoly) -> "RatPoly":
-        return cls(f.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("RatPoly", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"RatPoly({[str(c) for c in self.coeffs]!r})"
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            for j, cb in enumerate(other.coeffs):
-                out[i + j] += ca * cb
-        return RatPoly(out)
-
-    def scale(self, c: Fraction | int) -> "RatPoly":
-        c = Fraction(c)
-        return RatPoly(ci * c for ci in self.coeffs)
-
-    def evaluate(self, a: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
-
-    def clear_denominators(self) -> tuple[IntPoly, int]:
-        """Smallest positive D with D*self integral; returns (D*self, D)."""
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return IntPoly(int(c * d) for c in self.coeffs), d
-
-
 def derivative(f: IntPoly) -> IntPoly:
     """Formal derivative."""
     return IntPoly(i * c for i, c in enumerate(f.coeffs) if i >= 1)
@@ -286,6 +206,18 @@ def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
     return acc
 
 
+def valuation(a: int, p: int) -> int | float:
+    """Exponent of the largest power of p dividing a; math.inf for a = 0."""
+    if a == 0:
+        return math.inf
+    v = 0
+    a = abs(a)
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
 def content_and_primitive(f: IntPoly, p: int) -> tuple[int, IntPoly]:
     """Split off the largest power of p dividing every coefficient.
 
@@ -293,21 +225,11 @@ def content_and_primitive(f: IntPoly, p: int) -> tuple[int, IntPoly]:
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has no p-content")
-    c = None
+    c = math.inf
     for coef in f.coeffs:
-        if coef == 0:
-            continue
-        v = 0
-        a = abs(coef)
-        while a % p == 0:
-            a //= p
-            v += 1
-        c = v if c is None else min(c, v)
+        c = min(c, valuation(coef, p))
         if c == 0:
-            break
-    assert c is not None
-    if c == 0:
-        return 0, f
+            return 0, f
     q = p**c
     return c, IntPoly(coef // q for coef in f.coeffs)
 

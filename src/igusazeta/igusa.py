@@ -11,17 +11,12 @@ those lengths grow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Callable
 
 from .errors import InconsistentLengths, RegimeViolation, ZeroPolynomial
-from .exactpoly import (
-    IntPoly,
-    RatPoly,
-    content_and_primitive,
-    discriminant,
-    squarefree_part,
-)
-from .padic import count_roots, representative_roots, valuation
+from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
+from .padic import RepRoot, _LiftingTree, count_roots, valuation
+from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
 
 
@@ -91,13 +86,21 @@ def extract_branches(f: IntPoly, p: int) -> list[BranchParams]:
 
     Requires f content-stripped (not identically zero mod p) of degree >= 1.
     """
-    return _extract_branches(f, p, stability_threshold(f, p))
+    k0 = stability_threshold(f, p)
+    return _extract_branches(f, p, k0, _window_tree(f, p, k0).roots)
 
 
-def _extract_branches(g: IntPoly, p: int, k0: int) -> list[BranchParams]:
+def _window_tree(g: IntPoly, p: int, k0: int) -> _LiftingTree:
+    """The lifting tree of g walked to the end of the branch window past k0."""
+    return _LiftingTree(g, p, k0 + 2 * g.degree + 1)
+
+
+def _extract_branches(
+    g: IntPoly, p: int, k0: int, reps_at: Callable[[int], list[RepRoot]]
+) -> list[BranchParams]:
     d = g.degree
     window = list(range(k0, k0 + 2 * d + 2))
-    reps = {k: representative_roots(g, p, k) for k in window}
+    reps = {k: reps_at(k) for k in window}
     n = len(reps[k0])
     for k in window:
         if len(reps[k]) != n:
@@ -178,6 +181,7 @@ class _Pipeline:
     disc_valuation: int | None
     stable_precision: int | None
     branches: tuple[BranchParams, ...]
+    tree: _LiftingTree | None
 
 
 def _run_pipeline(f: IntPoly, p: int) -> _Pipeline:
@@ -185,11 +189,12 @@ def _run_pipeline(f: IntPoly, p: int) -> _Pipeline:
         raise ZeroPolynomial("the zero polynomial has no Poincare series")
     c, g = content_and_primitive(f, p)
     if g.degree == 0:
-        return _Pipeline(c, g, None, None, ())
+        return _Pipeline(c, g, None, None, (), None)
     delta = discriminant_valuation(g, p)
     k0 = g.degree * (delta + 1) + 1
-    branches = tuple(_extract_branches(g, p, k0))
-    return _Pipeline(c, g, delta, k0, branches)
+    tree = _window_tree(g, p, k0)
+    branches = tuple(_extract_branches(g, p, k0, tree.roots))
+    return _Pipeline(c, g, delta, k0, branches, tree)
 
 
 def _assemble_poincare(p: int, pipe: _Pipeline) -> RationalFunction:
@@ -197,16 +202,17 @@ def _assemble_poincare(p: int, pipe: _Pipeline) -> RationalFunction:
         pg = RationalFunction.one()
     else:
         k0 = pipe.stable_precision
-        acc: dict[int, Fraction] = {0: Fraction(1)}
+        # The head is sum_j N_j (t/p)^j: integer N_j over p^j, so one
+        # integer numerator over p^top holds it.
+        counts = {0: 1}
         for j in range(1, k0):
-            acc[j] = Fraction(count_roots(pipe.primitive, p, j), p**j)
+            counts[j] = pipe.tree.count(j)
         for b in pipe.branches:
             for l in range(k0, b.k_align):
-                n_l = p ** (l - b.prefix_length(l))
-                acc[l] = acc.get(l, Fraction(0)) + Fraction(n_l, p**l)
-        top = max(acc)
-        head = RatPoly([acc.get(j, Fraction(0)) for j in range(top + 1)])
-        pg = RationalFunction.from_rat_poly(head)
+                counts[l] = counts.get(l, 0) + p ** (l - b.prefix_length(l))
+        top = max(counts)
+        head = [counts.get(j, 0) * p ** (top - j) for j in range(top + 1)]
+        pg = RationalFunction(IntPoly(head), p**top)
         for b in pipe.branches:
             e = b.multiplicity
             num_low = [0] * (e + 1)

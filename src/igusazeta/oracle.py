@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .exactpoly import IntPoly, content_and_primitive
-from .igusa import closed_form_count, root_count, _run_pipeline, poincare_series
+from .igusa import closed_form_count, report, root_count
+from .igusa import _run_pipeline, poincare_series  # noqa: F401  rebound by benchmarks/tracer.py
 from .padic import RepRoot, count_roots, representative_roots
 
 DEFAULT_BUDGET = 10**7
@@ -31,49 +32,35 @@ def _check_budget(p: int, k: int, budget: int) -> int:
     return m
 
 
-def _values_mod(f: IntPoly, m: int) -> "np.ndarray | None":
-    """f evaluated at every residue mod m, or None when int64 cannot hold it."""
-    if m > _INT64_SAFE_MODULUS:
-        return None
-    xs = np.arange(m, dtype=np.int64)
-    acc = np.zeros(m, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        acc *= xs
-        acc += c % m
-        acc %= m
-    return acc
+def _root_mask(f: IntPoly, m: int) -> np.ndarray:
+    """Boolean array whose entry x says whether f(x) = 0 mod m."""
+    if m <= _INT64_SAFE_MODULUS:
+        xs = np.arange(m, dtype=np.int64)
+        acc = np.zeros(m, dtype=np.int64)
+        for c in reversed(f.coeffs):
+            acc *= xs
+            acc += c % m
+            acc %= m
+        return acc == 0
+    coeffs = [c % m for c in reversed(f.coeffs)]
+
+    def is_root(x: int) -> bool:
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c) % m
+        return acc == 0
+
+    return np.fromiter(map(is_root, range(m)), dtype=bool, count=m)
 
 
 def brute_count(f: IntPoly, p: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of roots of f mod p^k by evaluating every residue."""
     m = _check_budget(p, k, budget)
-    vals = _values_mod(f, m)
-    if vals is not None:
-        return int(np.count_nonzero(vals == 0))
-    count = 0
-    coeffs = [c % m for c in f.coeffs]
-    for x in range(m):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % m
-        if acc == 0:
-            count += 1
-    return count
+    return int(np.count_nonzero(_root_mask(f, m)))
 
 
 def _brute_roots(f: IntPoly, m: int) -> list[int]:
-    vals = _values_mod(f, m)
-    if vals is not None:
-        return [int(x) for x in np.nonzero(vals == 0)[0]]
-    coeffs = [c % m for c in f.coeffs]
-    out = []
-    for x in range(m):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % m
-        if acc == 0:
-            out.append(x)
-    return out
+    return np.flatnonzero(_root_mask(f, m)).tolist()
 
 
 def brute_rep_roots(
@@ -194,18 +181,18 @@ def verify_instance(
         )
         k += 1
 
-    series = poincare_series(f, p).series(kmax)
+    result = report(f, p)
+    series = result.poincare.series(kmax)
     for k in range(kmax + 1):
         want = Fraction(root_count(f, p, k), p**k)
         got = series[k]
         checks.append(CheckResult(f"series k={k}", str(want), str(got), want == got))
 
     if g.degree >= 1:
-        pipe = _run_pipeline(g, p)
-        k0 = pipe.stable_precision
+        k0 = result.stable_precision
         for k in range(k0, k0 + 2 * g.degree + 3):
             expected = count_roots(g, p, k)
-            actual = closed_form_count(pipe.branches, p, k, k0)
+            actual = closed_form_count(result.branches, p, k, k0)
             checks.append(
                 CheckResult(
                     f"closed-form k={k}", str(expected), str(actual), expected == actual

@@ -1,11 +1,14 @@
-"""p-adic valuations, representative roots modulo prime powers, and exact root counts.
+"""Roots modulo p, representative roots modulo prime powers, and exact root counts.
 
 A representative root packages a whole family of roots of f mod p^k: a fixed
 base-p digit prefix of length l together with every possible choice of the
 remaining k - l digits.  The root set of f mod p^k is the disjoint union of
 at most deg(f) such families (plus possibly the single length-0 family when
 every residue is a root), which is what makes exact counting cheap even when
-p^k is astronomically large.
+p^k is astronomically large.  One lifting tree, walked to the deepest
+precision needed, holds these families for every shallower precision too.
+
+`valuation` lives in `exactpoly` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -16,23 +19,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import IdenticallyZeroModP
-from .exactpoly import IntPoly, compose_linear
+from .exactpoly import IntPoly, compose_linear, content_and_primitive, valuation
 
 DEFAULT_SCAN_THRESHOLD = 1 << 16
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def valuation(a: int, p: int) -> int | float:
-    """Exponent of the largest power of p dividing a; math.inf for a = 0."""
-    if a == 0:
-        return math.inf
-    v = 0
-    a = abs(a)
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
 
 
 def is_prime(n: int) -> bool:
@@ -271,68 +262,75 @@ def _roots_by_splitting(fp: list[int], p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Representative-root enumeration.
+# The lifting tree.
 
 
-def _p_content(f: IntPoly, p: int) -> int:
-    v = None
-    for c in f.coeffs:
-        if c == 0:
-            continue
-        w = 0
-        a = abs(c)
-        while a % p == 0:
-            a //= p
-            w += 1
-        v = w if v is None else min(v, w)
-        if v == 0:
-            break
-    return v if v is not None else 0
+class _LiftingTree:
+    """The lifting tree of f at p, walked once to precision k.  It holds the
+    representative roots and the root counts of f mod p^j for every j <= k.
 
-
-def _rep_tails(f: IntPoly, p: int, k: int, thr: int | None) -> set[tuple[int, ...]]:
-    """Digit tuples of the maximal representative roots of f mod p^k.
-
-    Iterative post-order over the lifting tree: for each root r of the current
-    polynomial g mod p, substitute x -> r + p*x, strip the p-power content v,
-    and either stop (v covers the remaining precision: every extension is a
-    root) or descend with precision reduced by v.  When all p residues of a
-    level turn out to be fully covered, they merge to the shorter prefix,
-    which keeps the output maximal.
+    Each node below the root is one digit r of a root: substituting
+    x -> r + p*x into the parent's polynomial and stripping the p-power
+    content v gives the node's polynomial, and adds v to the precision used
+    along the path.  A node whose used precision reaches k is not expanded:
+    every extension of its digits is a root mod p^k.
     """
-    # frame: [g, k_rem, root list, next root index, pieces found so far]
-    stack: list[list] = [[f, k, None, 0, set()]]
-    child: set[tuple[int, ...]] | None = None
-    child_digit = 0
-    while True:
-        frame = stack[-1]
-        g, k_rem = frame[0], frame[1]
-        if frame[2] is None:
-            frame[2] = roots_mod_p(g, p, thr)
-        if child is not None:
-            frame[4].update((child_digit, *tail) for tail in child)
-            child = None
-        if frame[3] < len(frame[2]):
-            r = frame[2][frame[3]]
-            frame[3] += 1
-            h = compose_linear(g, r, p)
-            v = _p_content(h, p)
-            assert v >= 1, "substituting a root of g mod p must divide out p"
-            if v >= k_rem:
-                frame[4].add((r,))
-            else:
-                q = p**v
-                shifted = IntPoly(c // q for c in h.coeffs)
-                stack.append([shifted, k_rem - v, None, 0, set()])
-            continue
-        out = frame[4]
-        if len(out) == p and all(len(t) == 1 for t in out):
-            out = {()}
-        stack.pop()
-        if not stack:
-            return out
-        child = out
-        child_digit = stack[-1][2][stack[-1][3] - 1]
+
+    def __init__(self, f: IntPoly, p: int, k: int, scan_threshold: int | None = None):
+        self.p, self.k = p, k
+        # (parent, digit, depth, used precision) per node; parents come first
+        self.nodes = [(-1, 0, 0, 0)]
+        stack = [(0, f)]
+        while stack:
+            node, g = stack.pop()
+            _, _, depth, used = self.nodes[node]
+            for r in roots_mod_p(g, p, scan_threshold):
+                v, h = content_and_primitive(compose_linear(g, r, p), p)
+                assert v >= 1, "substituting a root of g mod p must divide out p"
+                self.nodes.append((node, r, depth + 1, used + v))
+                if used + v < k:
+                    stack.append((len(self.nodes) - 1, h))
+        # cover[n]: the largest precision at which every extension of node n's
+        # digits is a root.  A node whose p children are all covered at some
+        # precision is covered there too, so the children merge into it.
+        self.cover = [used for _, _, _, used in self.nodes]
+        kids = [0] * len(self.nodes)
+        low = [math.inf] * len(self.nodes)
+        for n in range(len(self.nodes) - 1, -1, -1):
+            if kids[n] == p:
+                self.cover[n] = max(self.cover[n], low[n])
+            parent = self.nodes[n][0]
+            if parent >= 0:
+                kids[parent] += 1
+                low[parent] = min(low[parent], self.cover[n])
+
+    def _at(self, k: int) -> list[int]:
+        """The nodes that are the maximal representative roots mod p^k: those
+        covered at k whose parent is not."""
+        if not 1 <= k <= self.k:
+            raise ValueError(f"precision {k} is outside 1..{self.k} of this tree")
+        cover = self.cover
+        return [
+            n
+            for n, (parent, _, _, _) in enumerate(self.nodes)
+            if k <= cover[n] and (parent < 0 or cover[parent] < k)
+        ]
+
+    def roots(self, k: int) -> list[RepRoot]:
+        """The maximal representative roots mod p^k, sorted by digit string."""
+        reps = [RepRoot(p=self.p, k=k, digits=self._digits(n)) for n in self._at(k)]
+        return sorted(reps, key=lambda r: r.digits)
+
+    def count(self, k: int) -> int:
+        """The number of roots mod p^k."""
+        return sum(self.p ** (k - self.nodes[n][2]) for n in self._at(k))
+
+    def _digits(self, n: int) -> tuple[int, ...]:
+        out = []
+        while n > 0:
+            n, digit, _, _ = self.nodes[n]
+            out.append(digit)
+        return tuple(reversed(out))
 
 
 def representative_roots(
@@ -346,12 +344,7 @@ def representative_roots(
     """
     if k < 1:
         raise ValueError("precision k must be positive")
-    if not _reduce_mod_p(f, p):
-        raise IdenticallyZeroModP(f"polynomial is identically zero mod {p}")
-    tails = _rep_tails(f, p, k, scan_threshold)
-    return sorted(
-        (RepRoot(p=p, k=k, digits=d) for d in tails), key=lambda r: r.digits
-    )
+    return _LiftingTree(f, p, k, scan_threshold).roots(k)
 
 
 def count_roots(f: IntPoly, p: int, k: int, scan_threshold: int | None = None) -> int:
@@ -360,5 +353,4 @@ def count_roots(f: IntPoly, p: int, k: int, scan_threshold: int | None = None) -
         raise ValueError("precision k must be nonnegative")
     if k == 0:
         return 1
-    reps = representative_roots(f, p, k, scan_threshold)
-    return sum(r.count for r in reps)
+    return _LiftingTree(f, p, k, scan_threshold).count(k)

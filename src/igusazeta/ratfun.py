@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, PoleAtZero
-from .exactpoly import IntPoly, RatPoly, exact_divide, poly_gcd
+from .exactpoly import IntPoly, exact_divide, poly_gcd
 
 
 def _as_int_poly(value) -> IntPoly:
@@ -63,11 +63,6 @@ class RationalFunction:
     @classmethod
     def from_poly(cls, f) -> "RationalFunction":
         return cls(f, 1)
-
-    @classmethod
-    def from_rat_poly(cls, q: RatPoly) -> "RationalFunction":
-        g, d = q.clear_denominators()
-        return cls(g, d)
 
     @classmethod
     def one(cls) -> "RationalFunction":

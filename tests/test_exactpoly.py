@@ -1,13 +1,11 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from igusazeta.errors import DegreeZero, ZeroPolynomial
 from igusazeta.exactpoly import (
     IntPoly,
-    RatPoly,
     compose_linear,
     content_and_primitive,
     derivative,
@@ -255,21 +253,3 @@ class TestComposeLinear:
             for x in range(-3, 4):
                 assert evaluate(g, x) == evaluate(f, a + b * x)
 
-
-class TestRatPoly:
-    def test_lowest_terms_and_trailing(self):
-        q = RatPoly([Fraction(2, 4), Fraction(0), Fraction(0)])
-        assert q.coeffs == (Fraction(1, 2),)
-
-    def test_clear_denominators(self):
-        q = RatPoly([Fraction(1, 2), Fraction(1, 3)])
-        g, d = q.clear_denominators()
-        assert d == 6
-        assert g == IntPoly([3, 2])
-
-    def test_arithmetic(self):
-        a = RatPoly([1, 1])
-        b = RatPoly([Fraction(1, 2)])
-        assert (a * b).coeffs == (Fraction(1, 2), Fraction(1, 2))
-        assert (a + a).coeffs == (Fraction(2), Fraction(2))
-        assert a.scale(Fraction(1, 3)).coeffs == (Fraction(1, 3), Fraction(1, 3))

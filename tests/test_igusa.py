@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from igusazeta.errors import RegimeViolation, ZeroPolynomial
+from igusazeta.errors import InconsistentLengths, RegimeViolation, ZeroPolynomial
 from igusazeta.exactpoly import IntPoly, content_and_primitive, discriminant
 from igusazeta.igusa import (
+    _extract_branches,
     _run_pipeline,
     closed_form_count,
     discriminant_valuation,
@@ -15,7 +16,7 @@ from igusazeta.igusa import (
     stability_threshold,
     zeta_function,
 )
-from igusazeta.padic import count_roots, representative_roots
+from igusazeta.padic import RepRoot, count_roots, representative_roots
 from igusazeta.ratfun import RationalFunction
 
 from corpus import CORPUS
@@ -68,34 +69,24 @@ class TestExtractBranches:
 
 
 class TestInconsistentLengths:
-    def test_fabricated_length_sequence_is_rejected(self, monkeypatch):
-        from igusazeta import igusa
-        from igusazeta.errors import InconsistentLengths
-        from igusazeta.padic import RepRoot
-
-        def fake_reps(f, p, k, scan_threshold=None):
+    def test_fabricated_length_sequence_is_rejected(self):
+        def fake_reps(k):
             # a branch whose length never grows violates the ceiling law
-            return [RepRoot(p=p, k=k, digits=(1, 1))]
+            return [RepRoot(p=2, k=k, digits=(1, 1))]
 
-        monkeypatch.setattr(igusa, "representative_roots", fake_reps)
-        with pytest.raises(InconsistentLengths):
-            igusa._extract_branches(IntPoly([-1, 0, 1]), 2, 7)
+        with pytest.raises(InconsistentLengths, match="fewer than two"):
+            _extract_branches(IntPoly([-1, 0, 1]), 2, 7, fake_reps)
 
-    def test_changing_branch_count_is_rejected(self, monkeypatch):
-        from igusazeta import igusa
-        from igusazeta.errors import InconsistentLengths
-        from igusazeta.padic import RepRoot
-
-        def fake_reps(f, p, k, scan_threshold=None):
+    def test_changing_branch_count_is_rejected(self):
+        def fake_reps(k):
             digits = tuple([1] * (k - 1))
-            reps = [RepRoot(p=p, k=k, digits=digits)]
+            reps = [RepRoot(p=2, k=k, digits=digits)]
             if k % 2:
-                reps.append(RepRoot(p=p, k=k, digits=(0,) + digits[1:]))
+                reps.append(RepRoot(p=2, k=k, digits=(0,) + digits[1:]))
             return reps
 
-        monkeypatch.setattr(igusa, "representative_roots", fake_reps)
-        with pytest.raises(InconsistentLengths):
-            igusa._extract_branches(IntPoly([-1, 0, 1]), 2, 7)
+        with pytest.raises(InconsistentLengths, match="branch count changed"):
+            _extract_branches(IntPoly([-1, 0, 1]), 2, 7, fake_reps)
 
 
 class TestClosedFormCount:
@@ -167,6 +158,22 @@ class TestReport:
         assert r.n == 0
         assert r.poincare == RF.one()
         assert r.zeta == RF.one()
+
+    def test_builds_one_lifting_tree(self, monkeypatch):
+        from igusazeta import padic
+
+        built = []
+        init = padic._LiftingTree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(padic._LiftingTree, "__init__", counting_init)
+        for text, p in [("x^2 - 1", 2), ("x^3 - x^2 - x + 1", 3), ("4*x^2 + 8", 2)]:
+            built.clear()
+            report(parse_poly(text), p)
+            assert len(built) == 1, (text, p)
 
     def test_constant_primitive_part(self):
         r = report(IntPoly([12]), 2)

@@ -5,9 +5,11 @@ import pytest
 
 from igusazeta.errors import IdenticallyZeroModP
 from igusazeta.exactpoly import IntPoly, content_and_primitive
+from igusazeta.igusa import stability_threshold
 from igusazeta.oracle import brute_count, brute_rep_roots
 from igusazeta.padic import (
     RepRoot,
+    _LiftingTree,
     count_roots,
     is_prime,
     representative_roots,
@@ -127,6 +129,38 @@ class TestRepresentativeRoots:
     def test_deep_precision_does_not_overflow_the_stack(self):
         reps = representative_roots(IntPoly([0, 0, 1]), 2, 4000)
         assert [r.length for r in reps] == [2000]
+
+
+class TestLiftingTree:
+    # x^e - p^(e*a): e roots of valuation a, a deep tree; x^6 - 64 at 2 has k0 = 223
+    TEMPLATES = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 5, 1), (3, 3, 1), (6, 2, 1)]
+
+    @staticmethod
+    def _instances():
+        for text, p in CORPUS:
+            _, g = content_and_primitive(parse_poly(text), p)
+            if g.degree >= 1:
+                yield g, p
+        for e, p, a in TestLiftingTree.TEMPLATES:
+            yield IntPoly([-(p ** (e * a))] + [0] * (e - 1) + [1]), p
+
+    def test_walking_deeper_never_changes_a_shallower_answer(self):
+        # One reference walk per k: the count mod p^k is the total size of the
+        # families representative_roots returns, which is what count_roots sums.
+        for g, p in self._instances():
+            top = stability_threshold(g, p) + 2 * g.degree + 1
+            tree = _LiftingTree(g, p, top)
+            for k in range(1, top + 1):
+                reps = representative_roots(g, p, k)
+                assert tree.roots(k) == reps, (g, p, k)
+                assert tree.count(k) == sum(r.count for r in reps), (g, p, k)
+
+    def test_rejects_precision_beyond_its_walk(self):
+        tree = _LiftingTree(IntPoly([-1, 0, 1]), 2, 5)
+        with pytest.raises(ValueError):
+            tree.roots(6)
+        with pytest.raises(ValueError):
+            tree.count(0)
 
 
 class TestRepRootType:
