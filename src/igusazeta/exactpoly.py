@@ -9,7 +9,7 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegreeZero, ZeroPolynomial
 
@@ -234,20 +234,20 @@ def content_and_primitive(f: IntPoly, p: int) -> tuple[int, IntPoly]:
     return c, IntPoly(coef // q for coef in f.coeffs)
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    # Remainder of lc(b)^j * a by b for some j >= 0; enough for a primitive PRS.
-    db = b.degree
-    lcb = b.leading_coefficient
-    r = list(a.coeffs)
-    while len(r) - 1 >= db and r:
-        top = r[-1]
-        shift = len(r) - 1 - db
-        r = [lcb * c for c in r]
-        for i, bc in enumerate(b.coeffs):
-            r[shift + i] -= top * bc
-        while r and r[-1] == 0:
-            r.pop()
-    return IntPoly(r)
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # Remainder of lc(b)^(deg a - deg b + 1) * a by b (Knuth, TAOCP 4.6.1,
+    # Algorithm R), on dense coefficient lists with deg a >= deg b >= 0.
+    db = len(b) - 1
+    lcb = b[-1]
+    r = list(a)
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = r[db + k]
+        r[:k] = [lcb * c for c in r[:k]]
+        r[k : db + k] = [lcb * c - top * bc for c, bc in zip(r[k : db + k], b)]
+    del r[db:]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -264,7 +264,7 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
-        r = _pseudo_rem(a, b)
+        r = IntPoly(_pseudo_rem(a.coeffs, b.coeffs))
         a, b = b, r.primitive()
     return a
 
@@ -311,51 +311,45 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     return exact_divide(f.primitive(), g).primitive()
 
 
-def _sylvester(f: IntPoly, g: IntPoly) -> list[list[int]]:
-    # deg(f) shifted rows of g's coefficients above deg(g) shifted rows of f's.
-    m, n = f.degree, g.degree
-    size = m + n
-    fdesc = list(reversed(f.coeffs))
-    gdesc = list(reversed(g.coeffs))
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + gdesc + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + fdesc + [0] * (size - m - 1 - i))
-    return rows
-
-
-def _det_bareiss(matrix: list[list[int]]) -> int:
-    # Fraction-free Gaussian elimination; every division below is exact.
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        pivot = next((j for j in range(i, n) if m[j][i] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            sign = -sign
-        for j in range(i + 1, n):
-            for k in range(i + 1, n):
-                m[j][k] = (m[j][k] * m[i][i] - m[j][i] * m[i][k]) // prev
-            m[j][i] = 0
-        prev = m[i][i]
-    return sign * m[-1][-1]
-
-
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Exact resultant of f and g, as the determinant of the Sylvester-style
-    matrix whose first deg(f) rows carry g's coefficients and whose remaining
-    deg(g) rows carry f's.  With this layout Res(x - a, x - b) = b - a.
+    """Exact resultant of f and g, defined as the determinant of the
+    Sylvester-style matrix whose first deg(f) rows carry g's coefficients and
+    whose remaining deg(g) rows carry f's.  With this layout Res(x - a, x - b)
+    = b - a; it is the standard Res(g, f).
+
+    Computed with Collins' subresultant PRS (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7): every division below is exact.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomial("resultant requires nonzero polynomials")
-    return _det_bareiss(_sylvester(f, g))
+    a, b = g.coeffs, f.coeffs
+    da, db = len(a) - 1, len(b) - 1
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    scale = ca**db * cb**da
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            sign = -1
+    # lead and h are Cohen's g and h: each remainder is divided by g * h^delta.
+    lead, h = 1, 1
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _pseudo_rem(a, b)
+        if not r:
+            return 0
+        div = lead * h**delta
+        a, b = b, [c // div for c in r]
+        da, db = db, len(r) - 1
+        lead = a[-1]
+        h = lead**delta // h ** (delta - 1) if delta else h
+    if da:
+        h = b[-1] ** da // h ** (da - 1)
+    return sign * scale * h
 
 
 def discriminant(h: IntPoly) -> int:

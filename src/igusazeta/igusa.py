@@ -66,8 +66,13 @@ def discriminant_valuation(f: IntPoly, p: int) -> int:
 
     Finite for every nonzero f of degree >= 1, since the squarefree part has
     nonzero discriminant.  Assumes f is not identically zero mod p.
+
+    A squarefree f is its own squarefree part up to content, and exactly
+    then its discriminant is nonzero; only the rest needs the gcd(f, f').
     """
-    d = discriminant(squarefree_part(f))
+    d = discriminant(f.primitive())
+    if d == 0:
+        d = discriminant(squarefree_part(f))
     v = valuation(d, p)
     assert v != float("inf")
     return int(v)

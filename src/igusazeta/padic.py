@@ -24,13 +24,20 @@ from .exactpoly import IntPoly, compose_linear, content_and_primitive, valuation
 DEFAULT_SCAN_THRESHOLD = 1 << 16
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to every base in _MR_WITNESSES (Sorenson and
+# Webster, 2015); below it those bases decide primality.
+_MR_PROVEN_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with a fixed witness set.
+    """Primality by Miller-Rabin with a fixed witness set, plus a strong
+    Lucas test from _MR_PROVEN_BELOW on.
 
-    The witness set is proven complete for n < 3.317e24, far beyond any
-    modulus this library can process; no randomness is involved.
+    Below _MR_PROVEN_BELOW (about 3.19e23) the twelve witnesses are proven
+    to decide primality.  From there on the Miller-Rabin rounds (base 2
+    among them) together with the strong Lucas test make up the Baillie-PSW
+    test: no composite passing it is known, but none is proven not to exist.
+    No randomness is involved.
     """
     if n < 2:
         return False
@@ -54,7 +61,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROVEN_BELOW or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd n > 0.
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    # Strong Lucas test with Selfridge's parameters (method A): D is the
+    # first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+    # n is odd and has no prime factor below 41.
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def halve(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # U_k, V_k and Q^k mod n, by binary doubling from k = 1 up to k = d.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = halve(U + V), halve(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

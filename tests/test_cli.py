@@ -75,6 +75,12 @@ class TestMain:
         assert main(["zeta", "--poly", "x", "--prime", "4"]) == 3
         assert "4 is not prime" in capsys.readouterr().err
 
+    def test_strong_pseudoprime_rejected(self, capsys):
+        # 1287836182261 * 2575672364521 passes Miller-Rabin to the bases 2..37.
+        n = "3317044064679887385961981"
+        assert main(["zeta", "--poly", "x^2-1", "--prime", n]) == 3
+        assert f"{n} is not prime" in capsys.readouterr().err
+
     def test_zero_polynomial(self, capsys):
         assert main(["zeta", "--poly", "0", "--prime", "3"]) == 3
 

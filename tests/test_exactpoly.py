@@ -232,6 +232,76 @@ class TestDiscriminant:
                 assert vu <= vw
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def big_poly(rng, degree, digits=30, lead_sign=None):
+    bound = 10**digits
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree)]
+    lead = rng.randint(1, bound) * (lead_sign or rng.choice((-1, 1)))
+    return IntPoly(coeffs + [lead])
+
+
+def to_sympy(sympy, f):
+    return sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"))
+
+
+class TestAgainstSympy:
+    """Independent reference: resultant(f, g) is sympy's Res(g, f), and
+    discriminant(h) is lc(h) times sympy's discriminant."""
+
+    def check_resultant(self, sympy, f, g):
+        expected = sympy.resultant(to_sympy(sympy, g), to_sympy(sympy, f))
+        assert resultant(f, g) == int(expected)
+
+    def test_resultant_at_degree(self, sympy):
+        rng = random.Random(2024)
+        for _ in range(6):
+            f = big_poly(rng, rng.randint(10, 30))
+            g = big_poly(rng, rng.randint(10, 30))
+            self.check_resultant(sympy, f, g)
+
+    def test_resultant_common_factor_is_zero(self, sympy):
+        rng = random.Random(2025)
+        for _ in range(4):
+            u = big_poly(rng, rng.randint(1, 5))
+            f = u * big_poly(rng, rng.randint(9, 20))
+            g = u * big_poly(rng, rng.randint(9, 20))
+            assert resultant(f, g) == 0
+            self.check_resultant(sympy, f, g)
+
+    def test_resultant_constant_argument(self, sympy):
+        rng = random.Random(2026)
+        for _ in range(4):
+            f = big_poly(rng, rng.randint(10, 30))
+            c = IntPoly([rng.choice((-1, 1)) * rng.randint(2, 10**30)])
+            assert resultant(f, c) == c.coeffs[0] ** f.degree
+            self.check_resultant(sympy, f, c)
+            self.check_resultant(sympy, c, f)
+
+    def test_resultant_negative_leading_coefficients(self, sympy):
+        rng = random.Random(2027)
+        for _ in range(4):
+            f = big_poly(rng, rng.randint(10, 30), lead_sign=-1)
+            g = big_poly(rng, rng.randint(10, 30), lead_sign=-1)
+            self.check_resultant(sympy, f, g)
+
+    def test_discriminant_at_degree(self, sympy):
+        rng = random.Random(2028)
+        for i in range(6):
+            h = big_poly(rng, rng.randint(10, 30), lead_sign=(-1, 1)[i % 2])
+            expected = h.leading_coefficient * sympy.discriminant(to_sympy(sympy, h))
+            assert discriminant(h) == int(expected)
+
+    def test_discriminant_of_repeated_factor_is_zero(self, sympy):
+        rng = random.Random(2029)
+        u = big_poly(rng, 3)
+        h = u * u * big_poly(rng, 10, lead_sign=-1)
+        assert discriminant(h) == 0 == int(sympy.discriminant(to_sympy(sympy, h)))
+
+
 def _vp(a, p):
     if a == 0:
         return math.inf

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 
 from igusazeta.errors import InconsistentLengths, RegimeViolation, ZeroPolynomial
-from igusazeta.exactpoly import IntPoly, content_and_primitive, discriminant
+from igusazeta import igusa
+from igusazeta.exactpoly import (
+    IntPoly,
+    content_and_primitive,
+    discriminant,
+    squarefree_part,
+    valuation,
+)
 from igusazeta.igusa import (
     _extract_branches,
     _run_pipeline,
@@ -35,6 +42,44 @@ class TestDiscriminantValuation:
         assert discriminant_valuation(QUADRATIC, 2) == 1
         assert discriminant_valuation(X2_MINUS_1, 2) == 2
         assert discriminant_valuation(X2_MINUS_1, 5) == 0
+
+    @staticmethod
+    def _instances():
+        x = X
+        squares = [(x - 3) ** 2 * (x**3 - 8), (x - 1) ** 2 * (x + 1), x**4 * (x - 2) ** 3]
+        for p in (2, 3, 5):
+            for e, a in ((2, 1), (3, 1), (2, 2), (4, 1)):
+                lift = x**e - p ** (e * a)
+                yield lift, p
+                yield lift * (x - 1) ** 2, p
+                yield lift * (x - p) ** 2, p
+                yield -3 * lift * (x**2 + p) ** 2, p
+            for f in squares:
+                yield f, p
+                yield 6 * f, p
+        for text, p in CORPUS:
+            f = parse_poly(text)
+            if f.degree >= 1:
+                yield f, p
+
+    def test_equals_valuation_of_squarefree_part_discriminant(self):
+        for f, p in self._instances():
+            expected = valuation(discriminant(squarefree_part(f)), p)
+            assert discriminant_valuation(f, p) == expected, (f, p)
+
+    def test_gcd_runs_only_for_repeated_factors(self, monkeypatch):
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return squarefree_part(f)
+
+        monkeypatch.setattr(igusa, "squarefree_part", counting)
+        for f, p in self._instances():
+            calls.clear()
+            discriminant_valuation(f, p)
+            repeated = squarefree_part(f).degree < f.degree
+            assert len(calls) == (1 if repeated else 0), (f, p)
 
 
 class TestStabilityThreshold:

@@ -10,6 +10,8 @@ from igusazeta.oracle import brute_count, brute_rep_roots
 from igusazeta.padic import (
     RepRoot,
     _LiftingTree,
+    _MR_PROVEN_BELOW,
+    _strong_lucas_probable_prime,
     count_roots,
     is_prime,
     representative_roots,
@@ -50,6 +52,37 @@ class TestIsPrime:
         assert is_prime(10**9 + 7)
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
+
+    def test_strong_pseudoprimes_to_all_witnesses(self):
+        # The least strong pseudoprimes to the first 12 and 13 prime bases.
+        assert 399165290221 * 798330580441 == _MR_PROVEN_BELOW
+        assert not is_prime(_MR_PROVEN_BELOW)
+        assert not is_prime(1287836182261 * 2575672364521)
+
+    def test_beyond_the_proven_bound(self):
+        for e in (89, 107, 127, 521):
+            assert is_prime(2**e - 1)
+        assert not is_prime(2**128 + 1)
+        assert not is_prime((2**89 - 1) * (2**61 - 1))
+        assert not is_prime((2**89 - 1) ** 2)
+
+    def test_lucas_pseudoprimes_are_caught_by_miller_rabin(self):
+        # The first strong Lucas pseudoprimes for Selfridge's parameters
+        # (OEIS A217255): the Lucas half alone accepts them.
+        for n in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519):
+            assert _strong_lucas_probable_prime(n)
+            assert not is_prime(n)
+
+    def test_matches_sympy_beyond_the_proven_bound(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(23)
+        for _ in range(400):
+            n = rng.randrange(_MR_PROVEN_BELOW, 10**30)
+            assert is_prime(n) == sympy.isprime(n), n
+        for _ in range(40):
+            q = sympy.nextprime(rng.randrange(_MR_PROVEN_BELOW, 10**40))
+            assert is_prime(q)
+            assert not is_prime(q * sympy.nextprime(rng.randrange(10**6, 10**20)))
 
 
 class TestRootsModP:
