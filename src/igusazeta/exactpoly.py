@@ -44,12 +44,6 @@ class IntPoly:
     def constant(cls, c: int) -> "IntPoly":
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPoly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls([0] * degree + [coeff])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

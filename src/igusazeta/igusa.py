@@ -171,6 +171,8 @@ def root_count(f: IntPoly, p: int, k: int) -> int:
     With f = p^c * g and g not identically zero mod p, the count is p^k for
     k <= c and p^c times the count of g mod p^(k-c) beyond.
     """
+    if k < 0:
+        raise ValueError("precision k must be nonnegative")
     if f.is_zero:
         raise ZeroPolynomial("root counts of the zero polynomial are not defined")
     c, g = content_and_primitive(f, p)
@@ -202,41 +204,43 @@ def _run_pipeline(f: IntPoly, p: int) -> _Pipeline:
     return _Pipeline(c, g, delta, k0, branches, tree)
 
 
-def _assemble_poincare(p: int, pipe: _Pipeline) -> RationalFunction:
-    if pipe.primitive.degree == 0:
-        pg = RationalFunction.one()
+def _poincare_and_zeta(
+    p: int, pipe: _Pipeline
+) -> tuple[RationalFunction, RationalFunction]:
+    """P and Z, each read off the root counts over a denominator known in
+    advance and reduced once.
+
+    From k0 on, N_k follows the closed form of the branches, so
+    den0 * P is a polynomial of degree below T = c + k0 + 2d, where
+    den0 = (1 - t) * prod (p - t^e) over the distinct branch multiplicities
+    e.  The counts N_0 .. N_(T+1) therefore fix that polynomial, and its
+    coefficients at T and T + 1 must vanish.  A constant primitive part has
+    N(g) = 1, 0, 0, ... and P = 1 + t + ... + t^c.
+    """
+    c, g = pipe.content_shift, pipe.primitive
+    if g.degree == 0:
+        g_counts, top = [1, 0], c + 2
     else:
-        k0 = pipe.stable_precision
-        # The head is sum_j N_j (t/p)^j: integer N_j over p^j, so one
-        # integer numerator over p^top holds it.
-        counts = {0: 1}
-        for j in range(1, k0):
-            counts[j] = pipe.tree.count(j)
-        for b in pipe.branches:
-            for l in range(k0, b.k_align):
-                counts[l] = counts.get(l, 0) + p ** (l - b.prefix_length(l))
-        top = max(counts)
-        head = [counts.get(j, 0) * p ** (top - j) for j in range(top + 1)]
-        pg = RationalFunction(IntPoly(head), p**top)
-        for b in pipe.branches:
-            e = b.multiplicity
-            num_low = [0] * (e + 1)
-            num_low[0] += p
-            num_low[1] -= p - 1
-            num_low[e] -= 1
-            num = IntPoly([0] * b.k_align + num_low[:])
-            scale = p ** ((b.k_align - b.valuation) // e)
-            den = (
-                IntPoly((scale,))
-                * IntPoly((1, -1))
-                * IntPoly([p] + [0] * (e - 1) + [-1])
-            )
-            pg = pg + RationalFunction(num, den)
-    c = pipe.content_shift
-    if c == 0:
-        return pg
-    head = RationalFunction(IntPoly([1] * c))
-    return head + RationalFunction(IntPoly.monomial(c)) * pg
+        g_counts, top = pipe.tree.counts(), c + pipe.stable_precision + 2 * g.degree
+    multiplicities = sorted({b.multiplicity for b in pipe.branches})
+    one_minus_t = IntPoly((1, -1))
+    den0 = one_minus_t
+    for e in multiplicities:
+        den0 = den0 * IntPoly([p] + [0] * (e - 1) + [-1])
+    counts = [p**j for j in range(c)] + [p**c * n for n in g_counts]
+    # sum_j N_j (t/p)^j, times p^last so that every coefficient is an integer
+    last = len(counts) - 1
+    head = (den0 * IntPoly(n * p ** (last - j) for j, n in enumerate(counts))).coeffs
+    if any(head[top : last + 1]):
+        raise InconsistentLengths(
+            f"root counts at precisions {top}..{last} do not fit"
+            f" the branch multiplicities {multiplicities}"
+        )
+    num = IntPoly(head[:top])
+    den = den0 * p**last
+    # Z = (1 - (1 - t) P) / t; the shift is exact because P(0) = N_0 = 1.
+    zeta_num = IntPoly((den - one_minus_t * num).coeffs[1:])
+    return RationalFunction(num, den), RationalFunction(zeta_num, den)
 
 
 def poincare_series(f: IntPoly, p: int) -> RationalFunction:
@@ -244,7 +248,7 @@ def poincare_series(f: IntPoly, p: int) -> RationalFunction:
     Maclaurin coefficient is N_k / p^k, where N_k counts roots of f mod p^k.
     The result is an exact reduced rational function of t.
     """
-    return _assemble_poincare(p, _run_pipeline(f, p))
+    return _poincare_and_zeta(p, _run_pipeline(f, p))[0]
 
 
 def zeta_function(f: IntPoly, p: int) -> RationalFunction:
@@ -252,13 +256,7 @@ def zeta_function(f: IntPoly, p: int) -> RationalFunction:
     t = p^(-s), recovered from the Poincare series P via
     Z = (1 - (1 - t) * P) / t.  The division by t is exact because P(0) = 1.
     """
-    return _zeta_from_poincare(poincare_series(f, p))
-
-
-def _zeta_from_poincare(p_series: RationalFunction) -> RationalFunction:
-    one = RationalFunction.one()
-    t = RationalFunction(IntPoly((0, 1)))
-    return (one - (one - t) * p_series) / t
+    return _poincare_and_zeta(p, _run_pipeline(f, p))[1]
 
 
 @dataclass(frozen=True)
@@ -326,8 +324,7 @@ class ZetaReport:
 def report(f: IntPoly, p: int) -> ZetaReport:
     """Run the whole pipeline once and package every result."""
     pipe = _run_pipeline(f, p)
-    p_series = _assemble_poincare(p, pipe)
-    z = _zeta_from_poincare(p_series)
+    p_series, z = _poincare_and_zeta(p, pipe)
     return ZetaReport(
         poly=f,
         prime=p,

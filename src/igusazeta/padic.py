@@ -186,20 +186,19 @@ def _reduce_mod_p(f: IntPoly, p: int) -> list[int]:
     return cs
 
 
-def roots_mod_p(f: IntPoly, p: int, scan_threshold: int | None = None) -> list[int]:
+def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """All residues r in [0, p) with f(r) = 0 mod p, sorted.
 
-    Two backends share this contract: an exhaustive scan (the default for
-    p below `scan_threshold`, deterministic) and gcd with x^p - x followed by
-    equal-degree splitting for large p.  The splitting backend draws its
-    splitting elements from a seeded generator, so its output is exact and
-    reproducible.
+    Two backends share this contract: an exhaustive scan (deterministic, for
+    p = 2 and every p below DEFAULT_SCAN_THRESHOLD) and gcd with x^p - x
+    followed by equal-degree splitting for large p.  The splitting backend
+    draws its splitting elements from a seeded generator, so its output is
+    exact and reproducible; it needs an odd p.
     """
-    thr = DEFAULT_SCAN_THRESHOLD if scan_threshold is None else scan_threshold
     fp = _reduce_mod_p(f, p)
     if not fp:
         raise IdenticallyZeroModP(f"polynomial is identically zero mod {p}")
-    if p == 2 or p < thr:
+    if p == 2 or p < DEFAULT_SCAN_THRESHOLD:
         out = []
         for r in range(p):
             acc = 0
@@ -336,7 +335,7 @@ class _LiftingTree:
     every extension of its digits is a root mod p^k.
     """
 
-    def __init__(self, f: IntPoly, p: int, k: int, scan_threshold: int | None = None):
+    def __init__(self, f: IntPoly, p: int, k: int):
         self.p, self.k = p, k
         # (parent, digit, depth, used precision) per node; parents come first
         self.nodes = [(-1, 0, 0, 0)]
@@ -344,7 +343,7 @@ class _LiftingTree:
         while stack:
             node, g = stack.pop()
             _, _, depth, used = self.nodes[node]
-            for r in roots_mod_p(g, p, scan_threshold):
+            for r in roots_mod_p(g, p):
                 v, h = content_and_primitive(compose_linear(g, r, p), p)
                 assert v >= 1, "substituting a root of g mod p must divide out p"
                 self.nodes.append((node, r, depth + 1, used + v))
@@ -381,9 +380,19 @@ class _LiftingTree:
         reps = [RepRoot(p=self.p, k=k, digits=self._digits(n)) for n in self._at(k)]
         return sorted(reps, key=lambda r: r.digits)
 
-    def count(self, k: int) -> int:
-        """The number of roots mod p^k."""
-        return sum(self.p ** (k - self.nodes[n][2]) for n in self._at(k))
+    def counts(self) -> list[int]:
+        """N_0 .. N_k: the number of roots mod p^j for every j <= k.
+
+        Each node is the maximal representative root for the precisions
+        above its parent's cover up to its own, so one sweep adds it to
+        exactly those counts.
+        """
+        out = [0] * (self.k + 1)
+        for n, (parent, _, depth, _) in enumerate(self.nodes):
+            low = self.cover[parent] if parent >= 0 else -1
+            for j in range(low + 1, min(self.cover[n], self.k) + 1):
+                out[j] += self.p ** (j - depth)
+        return out
 
     def _digits(self, n: int) -> tuple[int, ...]:
         out = []
@@ -393,9 +402,7 @@ class _LiftingTree:
         return tuple(reversed(out))
 
 
-def representative_roots(
-    f: IntPoly, p: int, k: int, scan_threshold: int | None = None
-) -> list[RepRoot]:
+def representative_roots(f: IntPoly, p: int, k: int) -> list[RepRoot]:
     """The maximal disjoint representative-root decomposition of the root set
     of f mod p^k, sorted by digit string.
 
@@ -404,13 +411,13 @@ def representative_roots(
     """
     if k < 1:
         raise ValueError("precision k must be positive")
-    return _LiftingTree(f, p, k, scan_threshold).roots(k)
+    return _LiftingTree(f, p, k).roots(k)
 
 
-def count_roots(f: IntPoly, p: int, k: int, scan_threshold: int | None = None) -> int:
+def count_roots(f: IntPoly, p: int, k: int) -> int:
     """Exact number of roots of f mod p^k (1 for k = 0 by convention)."""
     if k < 0:
         raise ValueError("precision k must be nonnegative")
     if k == 0:
         return 1
-    return _LiftingTree(f, p, k, scan_threshold).count(k)
+    return _LiftingTree(f, p, k).counts()[k]

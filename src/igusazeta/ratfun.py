@@ -61,10 +61,6 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
-    def from_poly(cls, f) -> "RationalFunction":
-        return cls(f, 1)
-
-    @classmethod
     def one(cls) -> "RationalFunction":
         return cls(1, 1)
 

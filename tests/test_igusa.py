@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from igusazeta.exactpoly import (
 )
 from igusazeta.igusa import (
     _extract_branches,
+    _poincare_and_zeta,
     _run_pipeline,
     closed_form_count,
     discriminant_valuation,
@@ -132,6 +134,34 @@ class TestInconsistentLengths:
 
         with pytest.raises(InconsistentLengths, match="branch count changed"):
             _extract_branches(IntPoly([-1, 0, 1]), 2, 7, fake_reps)
+
+
+class TestRootCount:
+    def test_negative_precision(self):
+        # with content 2 this used to return the float 2**-1
+        with pytest.raises(ValueError, match="nonnegative"):
+            root_count(IntPoly([12]), 2, -1)
+
+
+class TestAssemblyConsistency:
+    @pytest.mark.parametrize("text, p", [("x^2", 3), ("x^2 - 1", 2), ("x^4 - 5*x^3", 5)])
+    def test_wrong_multiplicity_is_rejected(self, text, p):
+        # Every multiplicity is off by one, so a true factor p - t^e of the
+        # denominator is missing and den0 * P is no polynomial.
+        pipe = _run_pipeline(parse_poly(text), p)
+        _poincare_and_zeta(p, pipe)  # the true multiplicities fit
+        k0 = pipe.stable_precision
+        wrong = tuple(
+            replace(
+                b,
+                multiplicity=b.multiplicity + 1,
+                k_align=k0 + (b.valuation - k0) % (b.multiplicity + 1),
+            )
+            for b in pipe.branches
+        )
+        broken = replace(pipe, branches=wrong)
+        with pytest.raises(InconsistentLengths, match="do not fit"):
+            _poincare_and_zeta(p, broken)
 
 
 class TestClosedFormCount:

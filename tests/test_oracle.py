@@ -23,6 +23,10 @@ class TestBruteCount:
     def test_k_zero(self):
         assert brute_count(IntPoly([5]), 7, 0) == 1
 
+    def test_negative_precision(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            brute_count(IntPoly([0, 1]), 2, -1)
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             brute_count(IntPoly([0, 1]), 2, 24)
@@ -57,6 +61,10 @@ class TestBruteRepRoots:
     def test_everything_is_a_root(self):
         reps = brute_rep_roots(IntPoly([12]), 2, 2)
         assert [r.digits for r in reps] == [()]
+
+    def test_negative_precision(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            brute_rep_roots(IntPoly([0, 1]), 2, -1)
 
     def test_denotes_exactly_the_root_set(self):
         rng = random.Random(321)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from igusazeta import padic
 from igusazeta.errors import IdenticallyZeroModP
 from igusazeta.exactpoly import IntPoly, content_and_primitive
 from igusazeta.igusa import stability_threshold
@@ -97,7 +98,7 @@ class TestRootsModP:
         with pytest.raises(IdenticallyZeroModP):
             roots_mod_p(IntPoly(), 5)
 
-    def test_splitting_backend_matches_scan(self):
+    def test_splitting_backend_matches_scan(self, monkeypatch):
         rng = random.Random(2024)
         for p in (3, 5, 7, 101, 1009):
             for _ in range(30):
@@ -106,13 +107,16 @@ class TestRootsModP:
                     scan = roots_mod_p(f, p)
                 except IdenticallyZeroModP:
                     continue
-                split = roots_mod_p(f, p, scan_threshold=0)
+                with monkeypatch.context() as m:
+                    m.setattr(padic, "DEFAULT_SCAN_THRESHOLD", 0)
+                    split = roots_mod_p(f, p)
                 assert scan == split
 
-    def test_splitting_backend_repeated_roots(self):
+    def test_splitting_backend_repeated_roots(self, monkeypatch):
         # (x-1)^2 (x-2) keeps the gcd path honest about multiplicities
+        monkeypatch.setattr(padic, "DEFAULT_SCAN_THRESHOLD", 0)
         f = IntPoly([-2, 5, -4, 1])
-        assert roots_mod_p(f, 1009, scan_threshold=0) == [1, 2]
+        assert roots_mod_p(f, 1009) == [1, 2]
 
 
 class TestRepresentativeRoots:
@@ -147,7 +151,7 @@ class TestRepresentativeRoots:
         with pytest.raises(ValueError):
             representative_roots(IntPoly([0, 1]), 2, 0)
 
-    def test_splitting_backend_gives_same_decomposition(self):
+    def test_splitting_backend_gives_same_decomposition(self, monkeypatch):
         rng = random.Random(909)
         for _ in range(20):
             f = IntPoly([rng.randint(-200, 200) for _ in range(rng.randint(2, 6))])
@@ -156,7 +160,9 @@ class TestRepresentativeRoots:
                     default = representative_roots(f, p, 4)
                 except IdenticallyZeroModP:
                     continue
-                forced = representative_roots(f, p, 4, scan_threshold=0)
+                with monkeypatch.context() as m:
+                    m.setattr(padic, "DEFAULT_SCAN_THRESHOLD", 0)
+                    forced = representative_roots(f, p, 4)
                 assert default == forced
 
     def test_deep_precision_does_not_overflow_the_stack(self):
@@ -183,17 +189,17 @@ class TestLiftingTree:
         for g, p in self._instances():
             top = stability_threshold(g, p) + 2 * g.degree + 1
             tree = _LiftingTree(g, p, top)
+            counts = tree.counts()
+            assert len(counts) == top + 1 and counts[0] == 1
             for k in range(1, top + 1):
                 reps = representative_roots(g, p, k)
                 assert tree.roots(k) == reps, (g, p, k)
-                assert tree.count(k) == sum(r.count for r in reps), (g, p, k)
+                assert counts[k] == sum(r.count for r in reps), (g, p, k)
 
     def test_rejects_precision_beyond_its_walk(self):
         tree = _LiftingTree(IntPoly([-1, 0, 1]), 2, 5)
         with pytest.raises(ValueError):
             tree.roots(6)
-        with pytest.raises(ValueError):
-            tree.count(0)
 
 
 class TestRepRootType:

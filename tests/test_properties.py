@@ -1,0 +1,42 @@
+"""Property tests: the pipeline against the brute-force oracle on generated
+inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from igusazeta.exactpoly import IntPoly, content_and_primitive
+from igusazeta.igusa import stability_threshold
+from igusazeta.oracle import verify_instance
+
+
+@st.composite
+def products(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    unit = draw(st.sampled_from([u for u in range(-2 * p, 2 * p + 1) if u % p]))
+    f = IntPoly([unit * p ** draw(st.integers(0, 2))])
+    # Up to three factors with distinct multiplicities, so that the branches
+    # often have several distinct e and the denominator several factors
+    # p - t^e.  j > 0 with p not dividing a gives a factor without p-adic
+    # roots, which only moves the discriminant.
+    n = draw(st.integers(1, 3))
+    for e in draw(st.permutations([1, 2, 3]))[:n]:
+        a = draw(st.integers(-(p**2), p**2))
+        j = draw(st.sampled_from([0, 0, 0, 1]))
+        f = f * IntPoly([a, p**j]) ** e
+    return f, p
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(products())
+def test_series_holds_past_the_counts_it_was_built_from(instance):
+    f, p = instance
+    c, g = content_and_primitive(f, p)
+    if g.degree >= 1:
+        # P is read off N_0 .. N_(c + k0 + 2d + 1); check well beyond that.
+        kmax = c + stability_threshold(g, p) + 4 * g.degree
+    else:
+        kmax = c + 4
+    result = verify_instance(f, p, kmax, budget=10**3)
+    assert result.all_pass, [x for x in result.checks if not x.passed]
