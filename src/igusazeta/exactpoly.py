@@ -202,6 +202,8 @@ def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
 
 def valuation(a: int, p: int) -> int | float:
     """Exponent of the largest power of p dividing a; math.inf for a = 0."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
     if a == 0:
         return math.inf
     v = 0

@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .exactpoly import IntPoly, content_and_primitive
-from .igusa import closed_form_count, report, root_count
-from .igusa import _run_pipeline, poincare_series  # noqa: F401  rebound by benchmarks/tracer.py
-from .padic import RepRoot, count_roots, representative_roots
+from .igusa import closed_form_count, report
+from .igusa import _run_pipeline, poincare_series, root_count  # noqa: F401  rebound by benchmarks/tracer.py
+from .padic import RepRoot, _LiftingTree
+from .padic import count_roots, representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 
 DEFAULT_BUDGET = 10**7
 
@@ -156,10 +157,20 @@ def verify_instance(
     p^k <= budget, the Poincare series coefficients up to kmax, and the
     closed-form counts on the stable window.  Failures become report entries,
     never exceptions.
+
+    The library side is `report(f, p)` plus one lifting tree of the
+    primitive part, walked deep enough to answer every precision checked.
     """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     checks: list[CheckResult] = []
-    _, g = content_and_primitive(f, p)
-    counts = [root_count(f, p, k) for k in range(kmax + 1)]
+    c, g = content_and_primitive(f, p)
+    result = report(f, p)
+    k0 = result.stable_precision
+    depth = max(kmax, k0 + 2 * g.degree + 2) if g.degree >= 1 else max(kmax, 1)
+    tree = _LiftingTree(g, p, depth)
+    g_counts = tree.counts()
+    counts = [p**k if k <= c else p**c * g_counts[k - c] for k in range(kmax + 1)]
 
     k = 0
     while p**k <= budget and k <= kmax:
@@ -173,7 +184,7 @@ def verify_instance(
     k = 1
     while p**k <= budget and k <= kmax:
         expected = brute_rep_roots(g, p, k, budget)
-        actual = representative_roots(g, p, k)
+        actual = tree.roots(k)
         checks.append(
             CheckResult(
                 f"rep-roots k={k}",
@@ -184,7 +195,6 @@ def verify_instance(
         )
         k += 1
 
-    result = report(f, p)
     series = result.poincare.series(kmax)
     for k in range(kmax + 1):
         want = Fraction(counts[k], p**k)
@@ -192,9 +202,8 @@ def verify_instance(
         checks.append(CheckResult(f"series k={k}", str(want), str(got), want == got))
 
     if g.degree >= 1:
-        k0 = result.stable_precision
         for k in range(k0, k0 + 2 * g.degree + 3):
-            expected = count_roots(g, p, k)
+            expected = g_counts[k]
             actual = closed_form_count(result.branches, p, k, k0)
             checks.append(
                 CheckResult(

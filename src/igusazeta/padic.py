@@ -195,6 +195,8 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     draws its splitting elements from a seeded generator, so its output is
     exact and reproducible; it needs an odd p.
     """
+    if p < 2:
+        raise ValueError("p must be at least 2")
     fp = _reduce_mod_p(f, p)
     if not fp:
         raise IdenticallyZeroModP(f"polynomial is identically zero mod {p}")

@@ -16,6 +16,7 @@ from igusazeta.exactpoly import (
     resultant,
     squarefree_part,
 )
+from igusazeta.ratfun import RationalFunction
 
 
 # Independent resultant oracle: build the same Sylvester-style block matrix
@@ -248,9 +249,15 @@ def to_sympy(sympy, f):
     return sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"))
 
 
+def from_sympy(poly):
+    return IntPoly(int(c) for c in reversed(poly.all_coeffs()))
+
+
 class TestAgainstSympy:
-    """Independent reference: resultant(f, g) is sympy's Res(g, f), and
-    discriminant(h) is lc(h) times sympy's discriminant."""
+    """Independent reference: resultant(f, g) is sympy's Res(g, f),
+    discriminant(h) is lc(h) times sympy's discriminant, poly_gcd and
+    squarefree_part are sympy's gcd and sqf_part made primitive, and a
+    RationalFunction has the value of sympy's cancel in canonical form."""
 
     def check_resultant(self, sympy, f, g):
         expected = sympy.resultant(to_sympy(sympy, g), to_sympy(sympy, f))
@@ -300,6 +307,43 @@ class TestAgainstSympy:
         u = big_poly(rng, 3)
         h = u * u * big_poly(rng, 10, lead_sign=-1)
         assert discriminant(h) == 0 == int(sympy.discriminant(to_sympy(sympy, h)))
+
+    def test_poly_gcd(self, sympy):
+        rng = random.Random(2030)
+        for i in range(6):
+            u = big_poly(rng, rng.randint(1, 5), lead_sign=(-1, 1)[i % 2])
+            f = u ** (1 + i % 2) * big_poly(rng, rng.randint(5, 15), lead_sign=-1)
+            g = u * big_poly(rng, rng.randint(9, 20))
+            expected = sympy.gcd(to_sympy(sympy, f), to_sympy(sympy, g))
+            assert poly_gcd(f, g) == from_sympy(expected).primitive()
+            assert poly_gcd(f, g).degree >= u.degree
+
+    def test_squarefree_part(self, sympy):
+        rng = random.Random(2031)
+        for i in range(6):
+            h = big_poly(rng, rng.randint(5, 10), lead_sign=(-1, 1)[i % 2])
+            if i:
+                u = big_poly(rng, rng.randint(1, 4))
+                v = big_poly(rng, rng.randint(1, 3), lead_sign=-1)
+                h = u**2 * v ** (1 + i % 3) * h
+            expected = sympy.sqf_part(to_sympy(sympy, h))
+            assert squarefree_part(h) == from_sympy(expected).primitive()
+
+    def test_rational_function_reduced_form(self, sympy):
+        rng = random.Random(2032)
+        for i in range(6):
+            u = big_poly(rng, rng.randint(1, 5), lead_sign=-1)
+            scale = rng.randint(2, 10**6)
+            num = u * big_poly(rng, rng.randint(9, 20)) * scale
+            den = u ** (1 + i % 2) * big_poly(rng, rng.randint(9, 20)) * scale
+            r = RationalFunction(num, den)
+            a, b = (to_sympy(sympy, q).as_expr() for q in (num, den))
+            n, d = sympy.fraction(sympy.cancel(a / b))
+            r_num, r_den = (to_sympy(sympy, q).as_expr() for q in (r.num, r.den))
+            assert sympy.expand(r_num * d - r_den * n) == 0
+            assert sympy.gcd(to_sympy(sympy, r.num), to_sympy(sympy, r.den)).degree() == 0
+            assert math.gcd(r.num.content(), r.den.content()) == 1
+            assert next(c for c in r.den.coeffs if c) > 0
 
 
 def _vp(a, p):

@@ -25,6 +25,7 @@ from igusazeta.igusa import (
     stability_threshold,
     zeta_function,
 )
+from igusazeta.oracle import verify_instance
 from igusazeta.padic import RepRoot, count_roots, representative_roots
 from igusazeta.ratfun import RationalFunction
 
@@ -141,6 +142,33 @@ class TestRootCount:
         # with content 2 this used to return the float 2**-1
         with pytest.raises(ValueError, match="nonnegative"):
             root_count(IntPoly([12]), 2, -1)
+
+
+class TestPrimeBelowTwo:
+    # p = 1 and p = -1 used to hang in valuation, p = 0 divided by zero
+    @pytest.mark.parametrize("p", [1, 0, -1, -2])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, p: root_count(f, p, 2),
+            lambda f, p: count_roots(f, p, 2),
+            lambda f, p: representative_roots(f, p, 2),
+            lambda f, p: report(f, p),
+            lambda f, p: discriminant_valuation(f, p),
+            lambda f, p: verify_instance(f, p, 2),
+        ],
+        ids=[
+            "root_count",
+            "count_roots",
+            "representative_roots",
+            "report",
+            "discriminant_valuation",
+            "verify_instance",
+        ],
+    )
+    def test_rejected(self, call, p):
+        with pytest.raises(ValueError, match="p must be at least 2"):
+            call(IntPoly([1, 1]), p)
 
 
 class TestAssemblyConsistency:

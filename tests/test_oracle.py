@@ -4,11 +4,16 @@ import pytest
 
 from igusazeta.errors import BudgetExceeded
 from igusazeta.exactpoly import IntPoly
+from igusazeta import padic
+from igusazeta.exactpoly import content_and_primitive
+from igusazeta.igusa import root_count
 from igusazeta.oracle import (
+    _fmt_reps,
     brute_count,
     brute_rep_roots,
     verify_instance,
 )
+from igusazeta.padic import count_roots, representative_roots
 
 from corpus import CORPUS
 from igusazeta.cli import parse_poly
@@ -97,6 +102,48 @@ class TestVerifyInstance:
             result = verify_instance(parse_poly(text), p, 12, budget=10**5)
             failing = [c for c in result.checks if not c.passed]
             assert not failing, (text, p, failing[:3])
+
+    def test_negative_kmax(self):
+        with pytest.raises(ValueError, match="kmax must be nonnegative"):
+            verify_instance(parse_poly("x"), 3, -1)
+
+    def test_builds_at_most_two_lifting_trees(self, monkeypatch):
+        # report() walks one tree, the reference side one more
+        built = []
+        init = padic._LiftingTree.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(padic._LiftingTree, "__init__", counting_init)
+        for text, p in [("x^2 - 1", 2), ("4*x^2 + 8", 2), ("12", 2), ("x^6 - 64", 2)]:
+            built.clear()
+            verify_instance(parse_poly(text), p, 12, budget=10**5)
+            assert len(built) <= 2, (text, p, len(built))
+
+    def test_library_side_matches_the_public_functions(self):
+        # The reference tree must answer each precision as the per-precision
+        # public functions do.
+        for text, p in CORPUS:
+            f = parse_poly(text)
+            _, g = content_and_primitive(f, p)
+            result = verify_instance(f, p, 12, budget=10**5)
+            seen = set()
+            for check in result.checks:
+                kind, k = check.name.split(" k=")
+                k = int(k)
+                if kind == "count":
+                    assert check.actual == str(root_count(f, p, k)), (text, p, k)
+                elif kind == "rep-roots":
+                    want = _fmt_reps(representative_roots(g, p, k))
+                    assert check.actual == want, (text, p, k)
+                elif kind == "closed-form":
+                    assert check.expected == str(count_roots(g, p, k)), (text, p, k)
+                seen.add(kind)
+            assert {"count", "series"} <= seen
+            if g.degree >= 1:
+                assert {"rep-roots", "closed-form"} <= seen
 
     def test_json_shape(self):
         result = verify_instance(parse_poly("x"), 3, 4)
