@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InconsistentLengths, RegimeViolation, ZeroPolynomial
+from .errors import InconsistentLengths, RegimeViolation
 from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
 from .padic import RepRoot, _LiftingTree, count_roots, valuation
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
@@ -87,17 +87,10 @@ def stability_threshold(f: IntPoly, p: int) -> int:
 
 
 def extract_branches(f: IntPoly, p: int) -> list[BranchParams]:
-    """Branch parameters of every p-adic root branch of f.
-
-    Requires f content-stripped (not identically zero mod p) of degree >= 1.
+    """Branch parameters of every p-adic root branch of a nonzero
+    f = p^c * g: those of g, whose p-adic roots are the roots of f.
     """
-    k0 = stability_threshold(f, p)
-    return _extract_branches(f, p, k0, _window_tree(f, p, k0).roots)
-
-
-def _window_tree(g: IntPoly, p: int, k0: int) -> _LiftingTree:
-    """The lifting tree of g walked to the end of the branch window past k0."""
-    return _LiftingTree(g, p, k0 + 2 * g.degree + 1)
+    return list(_run_pipeline(f, p).branches)
 
 
 def _extract_branches(
@@ -165,69 +158,54 @@ def closed_form_count(
     return sum(p ** (k - b.prefix_length(k)) for b in branches)
 
 
-def root_count(f: IntPoly, p: int, k: int) -> int:
-    """Root count of f mod p^k for any nonzero f, stripping p-power content.
-
-    With f = p^c * g and g not identically zero mod p, the count is p^k for
-    k <= c and p^c times the count of g mod p^(k-c) beyond.
-    """
-    if k < 0:
-        raise ValueError("precision k must be nonnegative")
-    if f.is_zero:
-        raise ZeroPolynomial("root counts of the zero polynomial are not defined")
-    c, g = content_and_primitive(f, p)
-    if k <= c:
-        return p**k
-    return p**c * count_roots(g, p, k - c)
+# The root count of f mod p^k; the lifting tree handles the p-content.
+root_count = count_roots
 
 
 @dataclass(frozen=True)
 class _Pipeline:
     content_shift: int
-    primitive: IntPoly
     disc_valuation: int | None
     stable_precision: int | None
     branches: tuple[BranchParams, ...]
-    tree: _LiftingTree | None
+    tree: _LiftingTree
 
 
 def _run_pipeline(f: IntPoly, p: int) -> _Pipeline:
-    if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no Poincare series")
+    """The lifting tree of f = p^c * g, walked to c + k0 + 2d + 1 (d the
+    degree of g), and the branches of g read off it at precisions c + k of
+    the window past k0.  For a constant g the walk goes to c + 3: then
+    P = 1 + t + ... + t^c, so den0 * P has degree c + 1 below T = c + 2.
+    """
     c, g = content_and_primitive(f, p)
     if g.degree == 0:
-        return _Pipeline(c, g, None, None, (), None)
+        return _Pipeline(c, None, None, (), _LiftingTree(f, p, c + 3))
     delta = discriminant_valuation(g, p)
     k0 = g.degree * (delta + 1) + 1
-    tree = _window_tree(g, p, k0)
-    branches = tuple(_extract_branches(g, p, k0, tree.roots))
-    return _Pipeline(c, g, delta, k0, branches, tree)
+    tree = _LiftingTree(f, p, c + k0 + 2 * g.degree + 1)
+    branches = tuple(_extract_branches(g, p, k0, lambda k: tree.roots(c + k)))
+    return _Pipeline(c, delta, k0, branches, tree)
 
 
 def _poincare_and_zeta(
     p: int, pipe: _Pipeline
 ) -> tuple[RationalFunction, RationalFunction]:
-    """P and Z, each read off the root counts over a denominator known in
-    advance and reduced once.
+    """P and Z, each read off the root counts of the pipeline's tree over a
+    denominator known in advance and reduced once.
 
     From k0 on, N_k follows the closed form of the branches, so
     den0 * P is a polynomial of degree below T = c + k0 + 2d, where
     den0 = (1 - t) * prod (p - t^e) over the distinct branch multiplicities
-    e.  The counts N_0 .. N_(T+1) therefore fix that polynomial, and its
-    coefficients at T and T + 1 must vanish.  A constant primitive part has
-    N(g) = 1, 0, 0, ... and P = 1 + t + ... + t^c.
+    e.  The tree's counts N_0 .. N_(T+1) therefore fix that polynomial, and
+    its coefficients at T and T + 1 must vanish.
     """
-    c, g = pipe.content_shift, pipe.primitive
-    if g.degree == 0:
-        g_counts, top = [1, 0], c + 2
-    else:
-        g_counts, top = pipe.tree.counts(), c + pipe.stable_precision + 2 * g.degree
+    counts = pipe.tree.counts()
+    top = len(counts) - 2
     multiplicities = sorted({b.multiplicity for b in pipe.branches})
     one_minus_t = IntPoly((1, -1))
     den0 = one_minus_t
     for e in multiplicities:
         den0 = den0 * IntPoly([p] + [0] * (e - 1) + [-1])
-    counts = [p**j for j in range(c)] + [p**c * n for n in g_counts]
     # sum_j N_j (t/p)^j, times p^last so that every coefficient is an integer
     last = len(counts) - 1
     head = (den0 * IntPoly(n * p ** (last - j) for j, n in enumerate(counts))).coeffs

@@ -158,8 +158,10 @@ def verify_instance(
     closed-form counts on the stable window.  Failures become report entries,
     never exceptions.
 
-    The library side is `report(f, p)` plus one lifting tree of the
-    primitive part, walked deep enough to answer every precision checked.
+    The library side is `report(f, p)` plus one lifting tree of f, walked
+    deep enough to answer every precision checked.  With f = p^c * g, the
+    representative roots and closed-form counts are those of g, read off
+    the tree at precision c + k.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -167,10 +169,9 @@ def verify_instance(
     c, g = content_and_primitive(f, p)
     result = report(f, p)
     k0 = result.stable_precision
-    depth = max(kmax, k0 + 2 * g.degree + 2) if g.degree >= 1 else max(kmax, 1)
-    tree = _LiftingTree(g, p, depth)
-    g_counts = tree.counts()
-    counts = [p**k if k <= c else p**c * g_counts[k - c] for k in range(kmax + 1)]
+    depth = max(kmax, k0 + 2 * g.degree + 2) if g.degree >= 1 else kmax
+    tree = _LiftingTree(f, p, c + depth)
+    counts = tree.counts()
 
     k = 0
     while p**k <= budget and k <= kmax:
@@ -183,15 +184,10 @@ def verify_instance(
 
     k = 1
     while p**k <= budget and k <= kmax:
-        expected = brute_rep_roots(g, p, k, budget)
-        actual = tree.roots(k)
+        expected = _fmt_reps(brute_rep_roots(g, p, k, budget))
+        actual = _fmt_reps(tree.roots(c + k))
         checks.append(
-            CheckResult(
-                f"rep-roots k={k}",
-                _fmt_reps(expected),
-                _fmt_reps(actual),
-                expected == actual,
-            )
+            CheckResult(f"rep-roots k={k}", expected, actual, expected == actual)
         )
         k += 1
 
@@ -203,7 +199,7 @@ def verify_instance(
 
     if g.degree >= 1:
         for k in range(k0, k0 + 2 * g.degree + 3):
-            expected = g_counts[k]
+            expected = counts[c + k] // p**c
             actual = closed_form_count(result.branches, p, k, k0)
             checks.append(
                 CheckResult(

@@ -327,21 +327,25 @@ def _roots_by_splitting(fp: list[int], p: int) -> list[int]:
 
 
 class _LiftingTree:
-    """The lifting tree of f at p, walked once to precision k.  It holds the
-    representative roots and the root counts of f mod p^j for every j <= k.
+    """The lifting tree of a nonzero f at p, walked once to precision k.  It
+    holds the representative roots and the root counts of f mod p^j for every
+    j <= k.
 
-    Each node below the root is one digit r of a root: substituting
-    x -> r + p*x into the parent's polynomial and stripping the p-power
-    content v gives the node's polynomial, and adds v to the precision used
-    along the path.  A node whose used precision reaches k is not expanded:
-    every extension of its digits is a root mod p^k.
+    Every node strips the p-power content of its polynomial and adds it to
+    the precision used along the path: at the root, f = p^c * g uses
+    precision c, since every residue is a root mod p^j for j <= c.  Each
+    node below the root is one digit r of a root: its polynomial is the
+    parent's with x -> r + p*x substituted, content stripped.  A node whose
+    used precision reaches k is not expanded: every extension of its digits
+    is a root mod p^k.
     """
 
     def __init__(self, f: IntPoly, p: int, k: int):
         self.p, self.k = p, k
+        c, g = content_and_primitive(f, p)
         # (parent, digit, depth, used precision) per node; parents come first
-        self.nodes = [(-1, 0, 0, 0)]
-        stack = [(0, f)]
+        self.nodes = [(-1, 0, 0, c)]
+        stack = [(0, g)] if c < k else []
         while stack:
             node, g = stack.pop()
             _, _, depth, used = self.nodes[node]
@@ -406,10 +410,7 @@ class _LiftingTree:
 
 def representative_roots(f: IntPoly, p: int, k: int) -> list[RepRoot]:
     """The maximal disjoint representative-root decomposition of the root set
-    of f mod p^k, sorted by digit string.
-
-    Requires k >= 1 and f not identically zero mod p (strip the p-power
-    content first, see `exactpoly.content_and_primitive`).
+    of a nonzero f mod p^k, sorted by digit string.  Requires k >= 1.
     """
     if k < 1:
         raise ValueError("precision k must be positive")
@@ -417,9 +418,7 @@ def representative_roots(f: IntPoly, p: int, k: int) -> list[RepRoot]:
 
 
 def count_roots(f: IntPoly, p: int, k: int) -> int:
-    """Exact number of roots of f mod p^k (1 for k = 0 by convention)."""
+    """Exact number of roots of a nonzero f mod p^k (1 for k = 0)."""
     if k < 0:
         raise ValueError("precision k must be nonnegative")
-    if k == 0:
-        return 1
     return _LiftingTree(f, p, k).counts()[k]

@@ -83,6 +83,7 @@ class TestMain:
 
     def test_zero_polynomial(self, capsys):
         assert main(["zeta", "--poly", "0", "--prime", "3"]) == 3
+        assert main(["count", "--poly", "0", "--prime", "3", "--k", "2"]) == 3
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["count", "--poly", "y+1", "--prime", "3", "--k", "1"]) == 2
@@ -92,8 +93,17 @@ class TestMain:
         assert main(["count", "--poly", "x"]) == 2
         assert main(["nonsense"]) == 2
 
-    def test_rep_roots_identically_zero(self, capsys):
-        assert main(["rep-roots", "--poly", "12", "--prime", "2", "--k", "3"]) == 3
+    def test_rep_roots_with_content(self, capsys):
+        assert main(["rep-roots", "--poly", "12", "--prime", "2", "--k", "2"]) == 0
+        assert capsys.readouterr().out.strip() == "all residues (mod 2^2)"
+        assert main(["rep-roots", "--poly", "12", "--prime", "2", "--k", "3"]) == 0
+        assert capsys.readouterr().out.strip() == "(no roots)"
+        assert main(["rep-roots", "--poly", "2*x", "--prime", "2", "--k", "3"]) == 0
+        assert capsys.readouterr().out.strip() == "0 + 2^2*m (mod 2^3), digits 0,0"
+        code = main(["rep-roots", "--poly", "2*x", "--prime", "2", "--k", "3", "--json"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rep_roots"] == [{"digits": ["0", "0"], "length": 2}]
 
     def test_rep_roots_json(self, capsys):
         code = main(["rep-roots", "--poly", "x^2-1", "--prime", "2", "--k", "7", "--json"])

@@ -115,6 +115,14 @@ class TestExtractBranches:
     def test_no_branches(self):
         assert extract_branches(IntPoly([1, 0, 1]), 3) == []
 
+    @pytest.mark.parametrize(
+        "text, p", [("4*x^2 + 8", 2), ("9*x^2 - 27", 3), ("8*x^3 + 16*x", 2), ("12", 2)]
+    )
+    def test_content_input_has_the_branches_of_its_primitive_part(self, text, p):
+        f = parse_poly(text)
+        _, g = content_and_primitive(f, p)
+        assert extract_branches(f, p) == extract_branches(g, p)
+
 
 class TestInconsistentLengths:
     def test_fabricated_length_sequence_is_rejected(self):
@@ -152,6 +160,7 @@ class TestPrimeBelowTwo:
         [
             lambda f, p: root_count(f, p, 2),
             lambda f, p: count_roots(f, p, 2),
+            lambda f, p: count_roots(f, p, 0),
             lambda f, p: representative_roots(f, p, 2),
             lambda f, p: report(f, p),
             lambda f, p: discriminant_valuation(f, p),
@@ -160,6 +169,7 @@ class TestPrimeBelowTwo:
         ids=[
             "root_count",
             "count_roots",
+            "count_roots_k0",
             "representative_roots",
             "report",
             "discriminant_valuation",
@@ -169,6 +179,21 @@ class TestPrimeBelowTwo:
     def test_rejected(self, call, p):
         with pytest.raises(ValueError, match="p must be at least 2"):
             call(IntPoly([1, 1]), p)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: root_count(f, 3, 2),
+        lambda f: count_roots(f, 3, 2),
+        lambda f: representative_roots(f, 3, 2),
+        lambda f: extract_branches(f, 3),
+    ],
+    ids=["root_count", "count_roots", "representative_roots", "extract_branches"],
+)
+def test_zero_polynomial_rejected(call):
+    with pytest.raises(ZeroPolynomial):
+        call(IntPoly())
 
 
 class TestAssemblyConsistency:
@@ -273,7 +298,7 @@ class TestReport:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(padic._LiftingTree, "__init__", counting_init)
-        for text, p in [("x^2 - 1", 2), ("x^3 - x^2 - x + 1", 3), ("4*x^2 + 8", 2)]:
+        for text, p in [("x^2 - 1", 2), ("x^3 - x^2 - x + 1", 3), ("4*x^2 + 8", 2), ("12", 2)]:
             built.clear()
             report(parse_poly(text), p)
             assert len(built) == 1, (text, p)

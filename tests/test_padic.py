@@ -143,9 +143,11 @@ class TestRepresentativeRoots:
         reps = representative_roots(IntPoly([0, -1, 0, 1]), 2, 1)
         assert [r.digits for r in reps] == [()]
 
-    def test_identically_zero(self):
-        with pytest.raises(IdenticallyZeroModP):
-            representative_roots(IntPoly([12]), 2, 3)
+    def test_content_matches_oracle(self):
+        # f = p^c * g: every residue is a root mod p^k for k <= c
+        for f, p in [(IntPoly([12]), 2), (IntPoly([0, 2]), 2), (IntPoly([-27, 0, 9]), 3)]:
+            for k in range(1, 6):
+                assert representative_roots(f, p, k) == brute_rep_roots(f, p, k), (f, p, k)
 
     def test_invalid_precision(self):
         with pytest.raises(ValueError):
@@ -156,10 +158,7 @@ class TestRepresentativeRoots:
         for _ in range(20):
             f = IntPoly([rng.randint(-200, 200) for _ in range(rng.randint(2, 6))])
             for p in (101, 257):
-                try:
-                    default = representative_roots(f, p, 4)
-                except IdenticallyZeroModP:
-                    continue
+                default = representative_roots(f, p, 4)
                 with monkeypatch.context() as m:
                     m.setattr(padic, "DEFAULT_SCAN_THRESHOLD", 0)
                     forced = representative_roots(f, p, 4)
@@ -171,30 +170,40 @@ class TestRepresentativeRoots:
 
 
 class TestLiftingTree:
-    # x^e - p^(e*a): e roots of valuation a, a deep tree; x^6 - 64 at 2 has k0 = 223
-    TEMPLATES = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 5, 1), (3, 3, 1), (6, 2, 1)]
+    # p^c * (x^e - p^(e*a)): e roots of valuation a, a deep tree; x^6 - 64 at 2
+    # has k0 = 223
+    TEMPLATES = [
+        (2, 2, 1, 0),
+        (2, 3, 1, 0),
+        (3, 2, 1, 0),
+        (2, 5, 1, 0),
+        (3, 3, 1, 0),
+        (6, 2, 1, 0),
+        (2, 3, 1, 2),
+    ]
 
     @staticmethod
     def _instances():
         for text, p in CORPUS:
-            _, g = content_and_primitive(parse_poly(text), p)
-            if g.degree >= 1:
-                yield g, p
-        for e, p, a in TestLiftingTree.TEMPLATES:
-            yield IntPoly([-(p ** (e * a))] + [0] * (e - 1) + [1]), p
+            f = parse_poly(text)
+            if f.degree >= 1:
+                yield f, p
+        for e, p, a, c in TestLiftingTree.TEMPLATES:
+            yield p**c * IntPoly([-(p ** (e * a))] + [0] * (e - 1) + [1]), p
 
     def test_walking_deeper_never_changes_a_shallower_answer(self):
         # One reference walk per k: the count mod p^k is the total size of the
         # families representative_roots returns, which is what count_roots sums.
-        for g, p in self._instances():
-            top = stability_threshold(g, p) + 2 * g.degree + 1
-            tree = _LiftingTree(g, p, top)
+        for f, p in self._instances():
+            c, g = content_and_primitive(f, p)
+            top = c + stability_threshold(g, p) + 2 * g.degree + 1
+            tree = _LiftingTree(f, p, top)
             counts = tree.counts()
             assert len(counts) == top + 1 and counts[0] == 1
             for k in range(1, top + 1):
-                reps = representative_roots(g, p, k)
-                assert tree.roots(k) == reps, (g, p, k)
-                assert counts[k] == sum(r.count for r in reps), (g, p, k)
+                reps = representative_roots(f, p, k)
+                assert tree.roots(k) == reps, (f, p, k)
+                assert counts[k] == sum(r.count for r in reps), (f, p, k)
 
     def test_rejects_precision_beyond_its_walk(self):
         tree = _LiftingTree(IntPoly([-1, 0, 1]), 2, 5)
@@ -231,73 +240,67 @@ class TestCountRoots:
     def test_k_zero_convention(self):
         assert count_roots(IntPoly([1, 0, 1]), 3, 0) == 1
 
-    def test_identically_zero(self):
-        with pytest.raises(IdenticallyZeroModP):
-            count_roots(IntPoly([12]), 2, 3)
+    def test_content_matches_oracle(self):
+        for f, p in [(IntPoly([12]), 2), (IntPoly([0, 2]), 2), (IntPoly([-27, 0, 9]), 3)]:
+            for k in range(6):
+                assert count_roots(f, p, k) == brute_count(f, p, k), (f, p, k)
 
 
-def _primitive_instances(max_pk=2000):
+def _instances(max_pk=2000):
     for text, p in CORPUS:
         f = parse_poly(text)
-        _, g = content_and_primitive(f, p)
-        if g.degree < 1:
-            continue
         k = 1
         while p**k <= max_pk:
-            yield g, p, k
+            yield f, p, k
             k += 1
 
 
 class TestAgainstOracle:
     def test_disjoint_cover(self):
-        for g, p, k in _primitive_instances():
-            reps = representative_roots(g, p, k)
+        for f, p, k in _instances():
+            reps = representative_roots(f, p, k)
             covered = set()
             for r in reps:
                 residues = set(r.residues())
                 assert not (covered & residues), "representative roots overlap"
                 covered |= residues
             m = p**k
-            brute = {x for x in range(m) if g(x) % m == 0}
+            brute = {x for x in range(m) if f(x) % m == 0}
             assert covered == brute
 
     def test_cardinality_bound(self):
-        for g, p, k in _primitive_instances():
-            reps = representative_roots(g, p, k)
-            assert len([r for r in reps if r.length >= 1]) <= g.degree
+        for f, p, k in _instances():
+            reps = representative_roots(f, p, k)
+            assert len([r for r in reps if r.length >= 1]) <= f.degree
 
     def test_counts_match_oracle(self):
-        for g, p, k in _primitive_instances():
-            assert count_roots(g, p, k) == brute_count(g, p, k)
+        for f, p, k in _instances():
+            assert count_roots(f, p, k) == brute_count(f, p, k)
 
     def test_equals_brute_decomposition(self):
-        for g, p, k in _primitive_instances():
-            assert representative_roots(g, p, k) == brute_rep_roots(g, p, k)
+        for f, p, k in _instances():
+            assert representative_roots(f, p, k) == brute_rep_roots(f, p, k)
 
     def test_monotone_refinement(self):
-        for g, p, k in _primitive_instances(max_pk=500):
-            finer = representative_roots(g, p, k + 1)
-            coarser = representative_roots(g, p, k)
+        for f, p, k in _instances(max_pk=500):
+            finer = representative_roots(f, p, k + 1)
+            coarser = representative_roots(f, p, k)
             for r in finer:
                 assert any(c.digits == r.digits[: c.length] for c in coarser)
 
     def test_count_growth_bounded(self):
-        for g, p, k in _primitive_instances():
-            assert count_roots(g, p, k) <= p * count_roots(g, p, k - 1)
+        for f, p, k in _instances():
+            assert count_roots(f, p, k) <= p * count_roots(f, p, k - 1)
 
     def test_random_small_polynomials(self):
         rng = random.Random(1234)
         for _ in range(120):
             p = rng.choice((2, 3, 5))
             f = IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(2, 5))])
-            try:
-                _, g = content_and_primitive(f, p)
-            except Exception:
-                continue
-            if g.is_zero or g.degree < 1:
+            if f.is_zero:
                 continue
             k = rng.randint(1, 6)
             if p**k > 10**6:
                 continue
-            assert representative_roots(g, p, k) == brute_rep_roots(g, p, k)
-            assert count_roots(g, p, k) == brute_count(g, p, k)
+            assert representative_roots(f, p, k) == brute_rep_roots(f, p, k)
+            assert count_roots(f, p, k) == brute_count(f, p, k)
