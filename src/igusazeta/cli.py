@@ -233,9 +233,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if result.all_pass else 1
 
         raise AssertionError(f"unhandled command {args.command!r}")
-    except VariableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

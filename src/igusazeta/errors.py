@@ -30,7 +30,7 @@ class RegimeViolation(ZetaError):
 
 
 class DivisionByZero(ZetaError):
-    """Division by a rational function with zero numerator, or by a zero denominator."""
+    """A rational function was given a zero denominator."""
 
 
 class PoleAtZero(ZetaError):

@@ -133,10 +133,7 @@ class IntPoly:
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Divide out the content and flip the sign so the leading coefficient is positive."""

@@ -6,6 +6,9 @@ rationals, with no common integer factor between their contents, and the
 lowest-degree nonzero coefficient of the denominator is positive.  That is
 the form in which results like p/(p - t) or (p + t)/(p - t^2) print the way
 they are usually written.
+
+The type holds results and has no arithmetic: callers build the numerator
+and denominator as integer polynomials and let the constructor reduce them.
 """
 
 from __future__ import annotations
@@ -60,14 +63,6 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(1, 1)
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(0, 1)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -82,58 +77,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero:
-            raise DivisionByZero("division by a rational function with zero numerator")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def scale(self, c: Fraction | int) -> "RationalFunction":
-        """Multiply by an exact rational constant."""
-        c = Fraction(c)
-        return RationalFunction(self.num * c.numerator, self.den * c.denominator)
 
     def series(self, order: int) -> list[Fraction]:
         """Maclaurin coefficients c_0 .. c_order, by the linear recurrence
@@ -162,18 +105,3 @@ class RationalFunction:
             "num": [str(c) for c in self.num.coeffs],
             "den": [str(c) for c in self.den.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RationalFunction":
-        return cls(
-            [int(c) for c in data["num"]],
-            [int(c) for c in data["den"]],
-        )
-
-
-def _coerce(value) -> RationalFunction | None:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (IntPoly, int)):
-        return RationalFunction(value, 1)
-    return None
