@@ -40,10 +40,6 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
-    @classmethod
-    def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .errors import InconsistentLengths, RegimeViolation
 from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
-from .padic import RepRoot, _LiftingTree, count_roots, valuation
+from .padic import RepRoot, _LiftingTree, count_roots, is_prime, valuation
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
 
@@ -90,7 +90,7 @@ def extract_branches(f: IntPoly, p: int) -> list[BranchParams]:
     """Branch parameters of every p-adic root branch of a nonzero
     f = p^c * g: those of g, whose p-adic roots are the roots of f.
     """
-    return list(_run_pipeline(f, p).branches)
+    return list(report(f, p).branches)
 
 
 def _extract_branches(
@@ -147,12 +147,15 @@ def _extract_branches(
 
 
 def closed_form_count(
-    branches: list[BranchParams] | tuple[BranchParams, ...], p: int, k: int, k0: int
+    branches: list[BranchParams] | tuple[BranchParams, ...], p: int, k: int, k0: int | None
 ) -> int:
     """Exact root count mod p^k from branch parameters, valid for k >= k0.
 
-    With no branches the count is 0.
+    With no branches the count is 0.  A constant primitive part has no
+    stable precision (k0 is None), so no closed form applies to it.
     """
+    if k0 is None:
+        raise RegimeViolation("there is no stable precision: the primitive part is constant")
     if k < k0:
         raise RegimeViolation(f"precision {k} is below the stable threshold {k0}")
     return sum(p ** (k - b.prefix_length(k)) for b in branches)
@@ -162,46 +165,48 @@ def closed_form_count(
 root_count = count_roots
 
 
-@dataclass(frozen=True)
-class _Pipeline:
-    content_shift: int
-    disc_valuation: int | None
-    stable_precision: int | None
-    branches: tuple[BranchParams, ...]
-    tree: _LiftingTree
-
-
-def _run_pipeline(f: IntPoly, p: int) -> _Pipeline:
-    """The lifting tree of f = p^c * g, walked to c + k0 + 2d + 1 (d the
-    degree of g), and the branches of g read off it at precisions c + k of
-    the window past k0.  For a constant g the walk goes to c + 3: then
-    P = 1 + t + ... + t^c, so den0 * P has degree c + 1 below T = c + 2.
+def _run_pipeline(
+    f: IntPoly, p: int, kmax: int | None = None
+) -> tuple[ZetaReport, _LiftingTree]:
+    """The report of f = p^c * g and the one lifting tree of f it is read
+    from: the branches of g at precisions c + k of the window past k0, and
+    P and Z from the root counts below T = c + k0 + 2d (d the degree of g).
+    For a constant g, T = c + 2: then P = 1 + t + ... + t^c, so den0 * P has
+    degree c + 1 below T.  The tree is walked to T + 1, or with kmax to
+    max(c + kmax, T + 2): every precision verify_instance checks.
     """
     c, g = content_and_primitive(f, p)
-    if g.degree == 0:
-        return _Pipeline(c, None, None, (), _LiftingTree(f, p, c + 3))
-    delta = discriminant_valuation(g, p)
-    k0 = g.degree * (delta + 1) + 1
-    tree = _LiftingTree(f, p, c + k0 + 2 * g.degree + 1)
-    branches = tuple(_extract_branches(g, p, k0, lambda k: tree.roots(c + k)))
-    return _Pipeline(c, delta, k0, branches, tree)
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    delta = k0 = None
+    branches = ()
+    top = c + 2
+    if g.degree >= 1:
+        delta = discriminant_valuation(g, p)
+        k0 = g.degree * (delta + 1) + 1
+        top = c + k0 + 2 * g.degree
+    tree = _LiftingTree(f, p, top + 1 if kmax is None else max(c + kmax, top + 2))
+    if k0 is not None:
+        branches = tuple(_extract_branches(g, p, k0, lambda k: tree.roots(c + k)))
+    poincare, zeta = _poincare_and_zeta(
+        p, tree.counts(), {b.multiplicity for b in branches}, top
+    )
+    return ZetaReport(f, p, c, delta, k0, branches, poincare, zeta), tree
 
 
 def _poincare_and_zeta(
-    p: int, pipe: _Pipeline
+    p: int, counts: list[int], multiplicities: set[int], top: int
 ) -> tuple[RationalFunction, RationalFunction]:
-    """P and Z, each read off the root counts of the pipeline's tree over a
+    """P and Z, each read off the root counts N_0 .. N_last over a
     denominator known in advance and reduced once.
 
     From k0 on, N_k follows the closed form of the branches, so
-    den0 * P is a polynomial of degree below T = c + k0 + 2d, where
+    den0 * P is a polynomial of degree below top, where
     den0 = (1 - t) * prod (p - t^e) over the distinct branch multiplicities
-    e.  The tree's counts N_0 .. N_(T+1) therefore fix that polynomial, and
-    its coefficients at T and T + 1 must vanish.
+    e.  The counts below top therefore fix that polynomial, and its
+    coefficients from top through last must vanish.
     """
-    counts = pipe.tree.counts()
-    top = len(counts) - 2
-    multiplicities = sorted({b.multiplicity for b in pipe.branches})
+    multiplicities = sorted(multiplicities)
     one_minus_t = IntPoly((1, -1))
     den0 = one_minus_t
     for e in multiplicities:
@@ -226,7 +231,7 @@ def poincare_series(f: IntPoly, p: int) -> RationalFunction:
     Maclaurin coefficient is N_k / p^k, where N_k counts roots of f mod p^k.
     The result is an exact reduced rational function of t.
     """
-    return _poincare_and_zeta(p, _run_pipeline(f, p))[0]
+    return report(f, p).poincare
 
 
 def zeta_function(f: IntPoly, p: int) -> RationalFunction:
@@ -234,7 +239,7 @@ def zeta_function(f: IntPoly, p: int) -> RationalFunction:
     t = p^(-s), recovered from the Poincare series P via
     Z = (1 - (1 - t) * P) / t.  The division by t is exact because P(0) = 1.
     """
-    return _poincare_and_zeta(p, _run_pipeline(f, p))[1]
+    return report(f, p).zeta
 
 
 @dataclass(frozen=True)
@@ -301,15 +306,4 @@ class ZetaReport:
 
 def report(f: IntPoly, p: int) -> ZetaReport:
     """Run the whole pipeline once and package every result."""
-    pipe = _run_pipeline(f, p)
-    p_series, z = _poincare_and_zeta(p, pipe)
-    return ZetaReport(
-        poly=f,
-        prime=p,
-        content_shift=pipe.content_shift,
-        disc_valuation=pipe.disc_valuation,
-        stable_precision=pipe.stable_precision,
-        branches=pipe.branches,
-        poincare=p_series,
-        zeta=z,
-    )
+    return _run_pipeline(f, p)[0]

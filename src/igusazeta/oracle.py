@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .exactpoly import IntPoly, content_and_primitive
-from .igusa import closed_form_count, report
-from .igusa import _run_pipeline, poincare_series, root_count  # noqa: F401  rebound by benchmarks/tracer.py
-from .padic import RepRoot, _LiftingTree
+from .igusa import _run_pipeline, closed_form_count
+from .igusa import poincare_series, root_count  # noqa: F401  rebound by benchmarks/tracer.py
+from .padic import RepRoot
 from .padic import count_roots, representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 
 DEFAULT_BUDGET = 10**7
@@ -158,19 +158,17 @@ def verify_instance(
     closed-form counts on the stable window.  Failures become report entries,
     never exceptions.
 
-    The library side is `report(f, p)` plus one lifting tree of f, walked
-    deep enough to answer every precision checked.  With f = p^c * g, the
-    representative roots and closed-form counts are those of g, read off
-    the tree at precision c + k.
+    The library side is the report of (f, p) and the one lifting tree it is
+    read from, walked deep enough to answer every precision checked.  With
+    f = p^c * g, the representative roots and closed-form counts are those
+    of g, read off the tree at precision c + k.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     checks: list[CheckResult] = []
     c, g = content_and_primitive(f, p)
-    result = report(f, p)
+    result, tree = _run_pipeline(f, p, kmax)
     k0 = result.stable_precision
-    depth = max(kmax, k0 + 2 * g.degree + 2) if g.degree >= 1 else kmax
-    tree = _LiftingTree(f, p, c + depth)
     counts = tree.counts()
 
     k = 0

@@ -180,10 +180,7 @@ class RepRoot:
 
 
 def _reduce_mod_p(f: IntPoly, p: int) -> list[int]:
-    cs = [c % p for c in f.coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+    return _fp_trim([c % p for c in f.coeffs])
 
 
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from igusazeta.exactpoly import IntPoly, content_and_primitive, discriminant
 from igusazeta.igusa import (
-    _run_pipeline,
     closed_form_count,
     poincare_series,
     report,
@@ -90,11 +89,11 @@ def test_criterion_3_closed_form_regime():
     for text, f, p in _instances():
         c, g = content_and_primitive(f, p)
         if g.degree >= 1:
-            pipe = _run_pipeline(g, p)
-            k0 = pipe.stable_precision
+            result = report(g, p)
+            k0 = result.stable_precision
             for k in range(k0, k0 + 2 * g.degree + 3):
                 expected = count_roots(g, p, k)
-                actual = closed_form_count(pipe.branches, p, k, k0)
+                actual = closed_form_count(result.branches, p, k, k0)
                 if expected != actual:
                     failures.append((text, p, k, expected, actual))
         else:
@@ -159,10 +158,10 @@ def test_criterion_7_squarefree_constancy():
         _, g = content_and_primitive(f, p)
         if g.degree < 1:
             continue
-        pipe = _run_pipeline(g, p)
-        k0 = pipe.stable_precision
+        result = report(g, p)
+        k0 = result.stable_precision
         counts = {
-            closed_form_count(pipe.branches, p, k, k0)
+            closed_form_count(result.branches, p, k, k0)
             for k in range(k0, k0 + 2 * g.degree + 3)
         }
         if len(counts) != 1:

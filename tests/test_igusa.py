@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -181,6 +180,25 @@ class TestPrimeBelowTwo:
             call(IntPoly([1, 1]), p)
 
 
+@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize(
+    "call",
+    [
+        report,
+        poincare_series,
+        zeta_function,
+        extract_branches,
+        lambda f, p: verify_instance(f, p, 2),
+    ],
+    ids=["report", "poincare_series", "zeta_function", "extract_branches", "verify_instance"],
+)
+def test_pipeline_rejects_composite_p(call, p):
+    # 12*x + 12 at 6 used to fail inside branch extraction with
+    # InconsistentLengths, an error that stands for an internal bug.
+    with pytest.raises(ValueError, match="p must be prime"):
+        call(parse_poly("12*x + 12"), p)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -201,20 +219,27 @@ class TestAssemblyConsistency:
     def test_wrong_multiplicity_is_rejected(self, text, p):
         # Every multiplicity is off by one, so a true factor p - t^e of the
         # denominator is missing and den0 * P is no polynomial.
-        pipe = _run_pipeline(parse_poly(text), p)
-        _poincare_and_zeta(p, pipe)  # the true multiplicities fit
-        k0 = pipe.stable_precision
-        wrong = tuple(
-            replace(
-                b,
-                multiplicity=b.multiplicity + 1,
-                k_align=k0 + (b.valuation - k0) % (b.multiplicity + 1),
-            )
-            for b in pipe.branches
-        )
-        broken = replace(pipe, branches=wrong)
+        result, tree = _run_pipeline(parse_poly(text), p)
+        counts = tree.counts()
+        top = len(counts) - 2
+        true = {b.multiplicity for b in result.branches}
+        _poincare_and_zeta(p, counts, true, top)  # the true multiplicities fit
         with pytest.raises(InconsistentLengths, match="do not fit"):
-            _poincare_and_zeta(p, broken)
+            _poincare_and_zeta(p, counts, {e + 1 for e in true}, top)
+
+    def test_corrupted_last_count_at_verify_depth_is_rejected(self):
+        # A verification tree goes past T + 1; every coefficient from T on
+        # is checked, so a wrong count beyond the report's depth is caught.
+        f, p = parse_poly("x^2 - 1"), 2
+        result, tree = _run_pipeline(f, p, kmax=20)
+        counts = tree.counts()
+        top = result.content_shift + result.stable_precision + 2 * f.degree
+        assert len(counts) - 1 > top + 1
+        true = {b.multiplicity for b in result.branches}
+        _poincare_and_zeta(p, counts, true, top)
+        counts[-1] += 1
+        with pytest.raises(InconsistentLengths, match="do not fit"):
+            _poincare_and_zeta(p, counts, true, top)
 
 
 class TestClosedFormCount:
@@ -233,6 +258,11 @@ class TestClosedFormCount:
         branches = extract_branches(X2_MINUS_1, 2)
         with pytest.raises(RegimeViolation):
             closed_form_count(branches, 2, 6, 7)
+
+    def test_constant_primitive_part_has_no_stable_precision(self):
+        r = report(IntPoly([12]), 2)
+        with pytest.raises(RegimeViolation, match="no stable precision"):
+            closed_form_count(r.branches, 2, 5, r.stable_precision)
 
 
 class TestPoincareSeries:
@@ -335,10 +365,10 @@ class TestPipelineInvariants:
             _, g = content_and_primitive(f, p)
             if g.degree < 1:
                 continue
-            pipe = _run_pipeline(g, p)
-            k0 = pipe.stable_precision
+            result = report(g, p)
+            k0 = result.stable_precision
             for k in range(k0, k0 + 2 * g.degree + 3):
-                assert closed_form_count(pipe.branches, p, k, k0) == count_roots(g, p, k)
+                assert closed_form_count(result.branches, p, k, k0) == count_roots(g, p, k)
 
     def test_branch_count_stable_on_window(self):
         for f, p in _instances():
@@ -355,11 +385,11 @@ class TestPipelineInvariants:
             _, g = content_and_primitive(f, p)
             if g.degree < 1:
                 continue
-            pipe = _run_pipeline(g, p)
-            k0 = pipe.stable_precision
+            result = report(g, p)
+            k0 = result.stable_precision
             for k in range(k0, k0 + 2 * g.degree + 3):
                 reps = representative_roots(g, p, k)
-                for b in pipe.branches:
+                for b in result.branches:
                     hits = [r for r in reps if r.digits[: len(b.prefix)] == b.prefix]
                     assert len(hits) == 1
                     assert hits[0].length == b.prefix_length(k)
@@ -371,10 +401,10 @@ class TestPipelineInvariants:
             _, g = content_and_primitive(f, p)
             if g.degree < 1:
                 continue
-            pipe = _run_pipeline(g, p)
-            k0 = pipe.stable_precision
+            result = report(g, p)
+            k0 = result.stable_precision
             counts = {
-                closed_form_count(pipe.branches, p, k, k0)
+                closed_form_count(result.branches, p, k, k0)
                 for k in range(k0, k0 + 2 * g.degree + 3)
             }
             assert len(counts) == 1
