@@ -15,13 +15,9 @@ from typing import Callable
 
 from .errors import InconsistentLengths, RegimeViolation
 from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
-from .padic import RepRoot, _LiftingTree, count_roots, is_prime, valuation
+from .padic import RepRoot, _LiftingTree, count_roots, valuation
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclass(frozen=True)
@@ -49,8 +45,9 @@ class BranchParams:
             raise ValueError("k_align is not aligned with the branch parameters")
 
     def prefix_length(self, k: int) -> int:
-        """Length of the branch's representative root at precision k."""
-        return _ceil_div(k - self.valuation, self.multiplicity)
+        """Length of the branch's representative root at precision k:
+        ceil((k - valuation) / multiplicity), the ceiling law."""
+        return -(-(k - self.valuation) // self.multiplicity)
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,10 +91,14 @@ def extract_branches(f: IntPoly, p: int) -> list[BranchParams]:
 
 
 def _extract_branches(
-    g: IntPoly, p: int, k0: int, reps_at: Callable[[int], list[RepRoot]]
+    d: int, k0: int, reps_at: Callable[[int], list[RepRoot]]
 ) -> list[BranchParams]:
-    d = g.degree
-    window = list(range(k0, k0 + 2 * d + 2))
+    """The branches of a degree-d primitive part, read off its maximal
+    representative roots reps_at(k) for k0 <= k < k0 + 2d + 2.  A branch's
+    first two length changes fix e and nu; its length must then follow
+    BranchParams.prefix_length at every k of that window.
+    """
+    window = range(k0, k0 + 2 * d + 2)
     reps = {k: reps_at(k) for k in window}
     n = len(reps[k0])
     for k in window:
@@ -116,31 +117,27 @@ def _extract_branches(
                     f"prefix {prefix} matched {len(hits)} roots at precision {k}"
                 )
             lengths[k] = hits[0].length
-        steps = []
-        for k in window[1:]:
-            jump = lengths[k] - lengths[k - 1]
-            if jump not in (0, 1):
-                raise InconsistentLengths(f"length jumped by {jump} at precision {k}")
-            if jump == 1:
-                steps.append(k)
+        observed = ", ".join(f"{k} -> {length}" for k, length in lengths.items())
+        steps = [k for k in window[1:] if lengths[k] != lengths[k - 1]]
         if len(steps) < 2:
-            raise InconsistentLengths("fewer than two length increments in the window")
+            raise InconsistentLengths(
+                f"prefix {prefix}: fewer than two length changes in the window"
+                f" (precision -> length: {observed})"
+            )
         e = steps[1] - steps[0]
-        if any(b - a != e for a, b in zip(steps, steps[1:])):
-            raise InconsistentLengths("length increments are not equally spaced")
-        aligned = steps[1] - 1
-        nu = aligned - e * lengths[aligned]
+        nu = steps[1] - 1 - e * lengths[steps[1] - 1]
         if nu < 0:
-            raise InconsistentLengths("negative branch valuation")
+            raise InconsistentLengths(f"prefix {prefix}: negative branch valuation {nu}")
+        k_align = k0 + (nu - k0) % e
+        b = BranchParams(multiplicity=e, valuation=nu, k_align=k_align, prefix=prefix)
         for k in window:
-            if lengths[k] != _ceil_div(k - nu, e):
+            if lengths[k] != b.prefix_length(k):
                 raise InconsistentLengths(
-                    f"length {lengths[k]} at precision {k} violates the ceiling law"
+                    f"prefix {prefix}: length {lengths[k]} at precision {k}, but the"
+                    f" ceiling law with e = {e}, nu = {nu} gives {b.prefix_length(k)}"
+                    f" (precision -> length: {observed})"
                 )
-        k_align = k0 + ((nu - k0) % e)
-        branches.append(
-            BranchParams(multiplicity=e, valuation=nu, k_align=k_align, prefix=prefix)
-        )
+        branches.append(b)
     if sum(b.multiplicity for b in branches) > d:
         raise InconsistentLengths("total branch multiplicity exceeds the degree")
     return branches
@@ -176,8 +173,6 @@ def _run_pipeline(
     max(c + kmax, T + 2): every precision verify_instance checks.
     """
     c, g = content_and_primitive(f, p)
-    if not is_prime(p):
-        raise ValueError("p must be prime")
     delta = k0 = None
     branches = ()
     top = c + 2
@@ -187,7 +182,7 @@ def _run_pipeline(
         top = c + k0 + 2 * g.degree
     tree = _LiftingTree(f, p, top + 1 if kmax is None else max(c + kmax, top + 2))
     if k0 is not None:
-        branches = tuple(_extract_branches(g, p, k0, lambda k: tree.roots(c + k)))
+        branches = tuple(_extract_branches(g.degree, k0, lambda k: tree.roots(c + k)))
     poincare, zeta = _poincare_and_zeta(
         p, tree.counts(), {b.multiplicity for b in branches}, top
     )

@@ -27,6 +27,8 @@ _INT64_SAFE_MODULUS = 3_037_000_499
 
 
 def _check_budget(p: int, k: int, budget: int) -> int:
+    if p < 2:
+        raise ValueError("p must be at least 2")
     if k < 0:
         raise ValueError("precision k must be nonnegative")
     m = p**k

@@ -190,7 +190,9 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     p = 2 and every p below DEFAULT_SCAN_THRESHOLD) and gcd with x^p - x
     followed by equal-degree splitting for large p.  The splitting backend
     draws its splitting elements from a seeded generator, so its output is
-    exact and reproducible; it needs an odd p.
+    exact and reproducible; it needs an odd prime p, and a composite p that
+    would reach it raises ValueError.  The scan answers any p >= 2 below
+    the threshold.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -206,6 +208,8 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
             if acc == 0:
                 out.append(r)
         return out
+    if not is_prime(p):
+        raise ValueError("p must be prime")
     return _roots_by_splitting(fp, p)
 
 
@@ -324,9 +328,9 @@ def _roots_by_splitting(fp: list[int], p: int) -> list[int]:
 
 
 class _LiftingTree:
-    """The lifting tree of a nonzero f at p, walked once to precision k.  It
-    holds the representative roots and the root counts of f mod p^j for every
-    j <= k.
+    """The lifting tree of a nonzero f at a prime p, walked once to precision
+    k.  It holds the representative roots and the root counts of f mod p^j
+    for every j <= k.
 
     Every node strips the p-power content of its polynomial and adds it to
     the precision used along the path: at the root, f = p^c * g uses
@@ -340,6 +344,8 @@ class _LiftingTree:
     def __init__(self, f: IntPoly, p: int, k: int):
         self.p, self.k = p, k
         c, g = content_and_primitive(f, p)
+        if not is_prime(p):
+            raise ValueError("p must be prime")
         # (parent, digit, depth, used precision) per node; parents come first
         self.nodes = [(-1, 0, 0, c)]
         stack = [(0, g)] if c < k else []
@@ -357,26 +363,25 @@ class _LiftingTree:
         # precision is covered there too, so the children merge into it.
         self.cover = [used for _, _, _, used in self.nodes]
         kids = [0] * len(self.nodes)
-        low = [math.inf] * len(self.nodes)
+        kids_cover = [math.inf] * len(self.nodes)
         for n in range(len(self.nodes) - 1, -1, -1):
             if kids[n] == p:
-                self.cover[n] = max(self.cover[n], low[n])
+                self.cover[n] = max(self.cover[n], kids_cover[n])
             parent = self.nodes[n][0]
             if parent >= 0:
                 kids[parent] += 1
-                low[parent] = min(low[parent], self.cover[n])
+                kids_cover[parent] = min(kids_cover[parent], self.cover[n])
+        # Node n is the maximal representative root mod p^j exactly for j in
+        # (below[n], cover[n]]: above its parent's cover (-1 at the root), up
+        # to its own.
+        self.below = [self.cover[parent] if parent >= 0 else -1 for parent, *_ in self.nodes]
 
     def _at(self, k: int) -> list[int]:
-        """The nodes that are the maximal representative roots mod p^k: those
-        covered at k whose parent is not."""
+        """The nodes that are the maximal representative roots mod p^k."""
         if not 1 <= k <= self.k:
             raise ValueError(f"precision {k} is outside 1..{self.k} of this tree")
-        cover = self.cover
-        return [
-            n
-            for n, (parent, _, _, _) in enumerate(self.nodes)
-            if k <= cover[n] and (parent < 0 or cover[parent] < k)
-        ]
+        intervals = zip(self.below, self.cover)
+        return [n for n, (below, cover) in enumerate(intervals) if below < k <= cover]
 
     def roots(self, k: int) -> list[RepRoot]:
         """The maximal representative roots mod p^k, sorted by digit string."""
@@ -386,14 +391,12 @@ class _LiftingTree:
     def counts(self) -> list[int]:
         """N_0 .. N_k: the number of roots mod p^j for every j <= k.
 
-        Each node is the maximal representative root for the precisions
-        above its parent's cover up to its own, so one sweep adds it to
-        exactly those counts.
+        One sweep adds each node to the counts of the precisions in its
+        interval.
         """
         out = [0] * (self.k + 1)
-        for n, (parent, _, depth, _) in enumerate(self.nodes):
-            low = self.cover[parent] if parent >= 0 else -1
-            for j in range(low + 1, min(self.cover[n], self.k) + 1):
+        for (_, _, depth, _), below, cover in zip(self.nodes, self.below, self.cover):
+            for j in range(below + 1, min(cover, self.k) + 1):
                 out[j] += self.p ** (j - depth)
         return out
 

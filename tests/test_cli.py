@@ -47,6 +47,11 @@ class TestParsePoly:
         with pytest.raises(ParseError):
             parse_poly("x^-2")
 
+    def test_missing_operator_between_terms(self):
+        with pytest.raises(ParseError, match="expected '\\+' or '-'") as err:
+            parse_poly("2x")
+        assert err.value.position == 1
+
     def test_variable_error(self):
         with pytest.raises(VariableError) as err:
             parse_poly("y^2")
@@ -122,6 +127,25 @@ class TestMain:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_verify_json(self, capsys):
+        code = main(["verify", "--poly", "x^2-1", "--prime", "2", "--kmax", "8", "--json"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["all_pass"] is True and data["kmax"] == 8
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["count", "--k", "-1"], "k must be nonnegative"),
+            (["rep-roots", "--k", "0"], "k must be positive"),
+            (["verify", "--kmax", "-1"], "kmax must be nonnegative"),
+        ],
+        ids=["count", "rep-roots", "verify"],
+    )
+    def test_precision_out_of_range(self, capsys, argv, message):
+        assert main(argv[:1] + ["--poly", "x", "--prime", "3"] + argv[1:]) == 2
+        assert message in capsys.readouterr().err
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         import igusazeta.oracle as oracle

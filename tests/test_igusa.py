@@ -123,6 +123,20 @@ class TestExtractBranches:
         assert extract_branches(f, p) == extract_branches(g, p)
 
 
+def _fake_branches(*length_rows):
+    """reps_at for a fabricated degree-2 window at p = 2 from k0 = 7: one
+    branch per row, with prefix (i, 1, 1, ...) of the row's length at each
+    of the precisions 7..12."""
+
+    def reps_at(k):
+        return [
+            RepRoot(p=2, k=k, digits=(i,) + (1,) * (row[k - 7] - 1))
+            for i, row in enumerate(length_rows)
+        ]
+
+    return reps_at
+
+
 class TestInconsistentLengths:
     def test_fabricated_length_sequence_is_rejected(self):
         def fake_reps(k):
@@ -130,7 +144,7 @@ class TestInconsistentLengths:
             return [RepRoot(p=2, k=k, digits=(1, 1))]
 
         with pytest.raises(InconsistentLengths, match="fewer than two"):
-            _extract_branches(IntPoly([-1, 0, 1]), 2, 7, fake_reps)
+            _extract_branches(2, 7, fake_reps)
 
     def test_changing_branch_count_is_rejected(self):
         def fake_reps(k):
@@ -141,7 +155,58 @@ class TestInconsistentLengths:
             return reps
 
         with pytest.raises(InconsistentLengths, match="branch count changed"):
-            _extract_branches(IntPoly([-1, 0, 1]), 2, 7, fake_reps)
+            _extract_branches(2, 7, fake_reps)
+
+    def test_true_lengths_are_accepted(self):
+        # ceil((k - 1) / 2) at 7..12: e = 2, nu = 1
+        (b,) = _extract_branches(2, 7, _fake_branches([3, 4, 4, 5, 5, 6]))
+        assert (b.multiplicity, b.valuation, b.k_align, b.prefix) == (2, 1, 7, (0, 1, 1))
+
+    def test_single_jump_by_two_is_rejected(self):
+        with pytest.raises(InconsistentLengths, match="fewer than two") as err:
+            _extract_branches(2, 7, _fake_branches([1, 1, 1, 3, 3, 3]))
+        assert "9 -> 1, 10 -> 3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "lengths, k, observed, expected",
+        [
+            # changes at 8, 10, 11: e = 2 and nu = 1 from the first two
+            ([3, 4, 4, 5, 6, 6], 11, 6, 5),
+            # e = 2, nu = 1 until the length stops growing at 12
+            ([3, 4, 4, 5, 5, 5], 12, 5, 6),
+        ],
+        ids=["unequal_spacing", "breaks_after_correct_start"],
+    )
+    def test_ceiling_law_violation_is_rejected(self, lengths, k, observed, expected):
+        with pytest.raises(InconsistentLengths) as err:
+            _extract_branches(2, 7, _fake_branches(lengths))
+        message = str(err.value)
+        assert f"length {observed} at precision {k}" in message
+        assert f"gives {expected}" in message
+
+    def test_negative_valuation_is_rejected(self):
+        # e = 2 with length 5 at the aligned precision 9: nu = 9 - 10 = -1
+        with pytest.raises(InconsistentLengths, match="negative"):
+            _extract_branches(2, 7, _fake_branches([4, 5, 5, 6, 6, 7]))
+
+    def test_prefix_matching_two_roots_is_rejected(self):
+        def fake_reps(k):
+            return [RepRoot(p=2, k=k, digits=(1,)), RepRoot(p=2, k=k, digits=(1, 0))]
+
+        with pytest.raises(InconsistentLengths, match="matched 2 roots"):
+            _extract_branches(2, 7, fake_reps)
+
+    def test_prefix_matching_no_root_is_rejected(self):
+        def fake_reps(k):
+            return [RepRoot(p=2, k=k, digits=(1,) if k == 7 else (0,))]
+
+        with pytest.raises(InconsistentLengths, match="matched 0 roots at precision 8"):
+            _extract_branches(2, 7, fake_reps)
+
+    def test_multiplicity_above_degree_is_rejected(self):
+        # ceil((k - 1) / 3) at 7..12: one lawful branch of multiplicity 3 > 2
+        with pytest.raises(InconsistentLengths, match="exceeds the degree"):
+            _extract_branches(2, 7, _fake_branches([2, 3, 3, 3, 4, 4]))
 
 
 class TestRootCount:

@@ -51,6 +51,15 @@ class TestBruteCount:
             oracle._INT64_SAFE_MODULUS = saved
 
 
+@pytest.mark.parametrize("p", [1, 0, -1, -2])
+@pytest.mark.parametrize("call", [brute_count, brute_rep_roots])
+def test_p_below_two_rejected(call, p):
+    # brute_count(x, 1, 3) used to return 1; p = 0 divided by zero and p = -2
+    # asked numpy for an array of negative size
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        call(IntPoly([0, 1]), p, 3)
+
+
 class TestBruteRepRoots:
     def test_double_root(self):
         reps = brute_rep_roots(IntPoly([0, 0, 1]), 3, 4)

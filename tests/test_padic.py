@@ -119,6 +119,34 @@ class TestRootsModP:
         assert roots_mod_p(f, 1009) == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "call, p",
+    [
+        (lambda f, p: count_roots(f, p, 1), 65536),
+        (lambda f, p: count_roots(f, p, 2), 4),
+        (lambda f, p: count_roots(f, p, 2), 6),
+        (lambda f, p: representative_roots(f, p, 1), 65536),
+        (lambda f, p: representative_roots(f, p, 2), 4),
+        (lambda f, p: representative_roots(f, p, 2), 6),
+        (roots_mod_p, 65536),
+    ],
+    ids=[
+        "count_roots-65536",
+        "count_roots-4",
+        "count_roots-6",
+        "representative_roots-65536",
+        "representative_roots-4",
+        "representative_roots-6",
+        "roots_mod_p-65536",
+    ],
+)
+def test_composite_p_rejected(call, p):
+    # At 65536 the splitting backend, which assumes a field, gave one root of
+    # x^2 - 1 where there are four (1, 32767, 32769, 65535).
+    with pytest.raises(ValueError, match="p must be prime"):
+        call(IntPoly([-1, 0, 1]), p)
+
+
 class TestRepresentativeRoots:
     def test_double_root_prefix(self):
         reps = representative_roots(IntPoly([0, 0, 1]), 3, 5)
