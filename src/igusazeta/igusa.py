@@ -15,7 +15,7 @@ from typing import Callable
 
 from .errors import InconsistentLengths, RegimeViolation
 from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
-from .padic import RepRoot, _LiftingTree, count_roots, valuation
+from .padic import RepRoot, _LiftingTree, count_roots, is_prime, valuation
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
 
@@ -66,7 +66,12 @@ def discriminant_valuation(f: IntPoly, p: int) -> int:
 
     A squarefree f is its own squarefree part up to content, and exactly
     then its discriminant is nonzero; only the rest needs the gcd(f, f').
+    A p below 2 or a composite p raises ValueError.
     """
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    if not is_prime(p):
+        raise ValueError("p must be prime")
     d = discriminant(f.primitive())
     if d == 0:
         d = discriminant(squarefree_part(f))

@@ -158,7 +158,8 @@ def verify_instance(
     Compares root counts and representative roots for every k with
     p^k <= budget, the Poincare series coefficients up to kmax, and the
     closed-form counts on the stable window.  Failures become report entries,
-    never exceptions.
+    never exceptions.  A budget below 1 enumerates nothing, so it raises
+    BudgetExceeded.
 
     The library side is the report of (f, p) and the one lifting tree it is
     read from, walked deep enough to answer every precision checked.  With
@@ -167,6 +168,7 @@ def verify_instance(
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    _check_budget(p, 0, budget)
     checks: list[CheckResult] = []
     c, g = content_and_primitive(f, p)
     result, tree = _run_pipeline(f, p, kmax)

@@ -14,7 +14,6 @@ precision needed, holds these families for every shallower precision too.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -186,13 +185,14 @@ def _reduce_mod_p(f: IntPoly, p: int) -> list[int]:
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """All residues r in [0, p) with f(r) = 0 mod p, sorted.
 
-    Two backends share this contract: an exhaustive scan (deterministic, for
-    p = 2 and every p below DEFAULT_SCAN_THRESHOLD) and gcd with x^p - x
+    Two backends share this contract, both deterministic: an exhaustive scan
+    (for p = 2 and every p below DEFAULT_SCAN_THRESHOLD) and gcd with x^p - x
     followed by equal-degree splitting for large p.  The splitting backend
-    draws its splitting elements from a seeded generator, so its output is
-    exact and reproducible; it needs an odd prime p, and a composite p that
-    would reach it raises ValueError.  The scan answers any p >= 2 below
-    the threshold.
+    counts its trial elements a = 0, 1, 2, ... rather than drawing them, and
+    any p consecutive ones split a product of distinct linear factors, so
+    each split ends within p trials.  It needs an odd prime p, and a
+    composite p that would reach it raises ValueError.  The scan answers any
+    p >= 2 below the threshold.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -237,17 +237,17 @@ def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
     return _fp_trim(out)
 
 
-def _fp_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = a[:]
+def _fp_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    # quotient and remainder of a by a monic m
+    r = a[:]
     dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        a[i] = 0
+    q = [0] * max(len(a) - dm, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + dm] % p
         if c:
             for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return _fp_trim([c % p for c in a[:dm]])
+                r[i + j] = (r[i + j] - c * m[j]) % p
+    return _fp_trim(q), _fp_trim([c % p for c in r[:dm]])
 
 
 def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
@@ -259,12 +259,12 @@ def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
             continue
         for j, cb in enumerate(b):
             out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_rem(out, m, p)
+    return _fp_divmod(out, m, p)[1]
 
 
 def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     result = [1]
-    base = _fp_rem(base, m, p)
+    base = _fp_divmod(base, m, p)[1]
     while e:
         if e & 1:
             result = _fp_mulmod(result, base, m, p)
@@ -274,51 +274,34 @@ def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
     while b:
         b = _fp_monic(b, p)
-        a, b = b, _fp_rem(a, b, p)
+        a, b = b, _fp_divmod(a, b, p)[1]
     return _fp_monic(a, p) if a else []
-
-
-def _fp_divexact(a: list[int], b: list[int], p: int) -> list[int]:
-    # b monic, b | a
-    b = _fp_monic(b, p)
-    a = a[:]
-    dq = len(a) - len(b)
-    quo = [0] * (dq + 1)
-    for i in range(dq, -1, -1):
-        c = a[len(b) - 1 + i] % p
-        quo[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                a[i + j] = (a[i + j] - c * bc) % p
-    return _fp_trim(quo)
 
 
 def _roots_by_splitting(fp: list[int], p: int) -> list[int]:
     f = _fp_monic(fp, p)
-    if len(f) == 1:
-        return []
     xp = _fp_powmod([0, 1], p, f, p)
     lin = _fp_gcd(_fp_sub(xp, [0, 1], p), f, p)
-    if len(lin) <= 1:
-        return []
     roots: list[int] = []
-    rng = random.Random(0x5EED ^ p)
-    stack = [lin]
+    stack = [lin] if len(lin) > 1 else []
+    # One counter of trial elements runs across the whole stack: a value that
+    # failed to split g fails on every factor of g too.  For distinct roots r
+    # and s the Legendre symbols of (a + r)(a + s) sum to -1 over all a, so
+    # any p consecutive trials split g.
+    a = 0
     while stack:
         g = stack.pop()
         if len(g) == 2:
             roots.append(-g[0] % p)
             continue
         while True:
-            a = rng.randrange(p)
-            h = _fp_powmod([a, 1], (p - 1) // 2, g, p)
+            h = _fp_powmod([a % p, 1], (p - 1) // 2, g, p)
+            a += 1
             u = _fp_gcd(_fp_sub(h, [1], p), g, p)
             if 1 < len(u) < len(g):
-                stack.append(u)
-                stack.append(_fp_divexact(g, u, p))
+                stack += [u, _fp_divmod(g, u, p)[0]]
                 break
     return sorted(roots)
 

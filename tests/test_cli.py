@@ -147,6 +147,14 @@ class TestMain:
         assert main(argv[:1] + ["--poly", "x", "--prime", "3"] + argv[1:]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_verify_budget_below_one(self, capsys, budget):
+        code = main(["verify", "--poly", "x", "--prime", "2", "--kmax", "3", "--budget", budget])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "enumeration budget" in captured.err
+        assert "all checks passed" not in captured.out
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         import igusazeta.oracle as oracle
 

@@ -76,6 +76,11 @@ class TestIntPolyBasics:
         assert (f - f).is_zero
         assert (f + 1).coeffs == (2, 1)
         assert (f**3).coeffs == (1, 3, 3, 1)
+        assert 1 - IntPoly([0, 1]) == IntPoly([1, -1])
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            IntPoly([1]).coeffs = (2,)
 
     def test_text_round_trip_forms(self):
         assert IntPoly([1, 3, 2]).to_text() == "2*x^2 + 3*x + 1"
@@ -126,6 +131,22 @@ class TestContentAndPrimitive:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
             content_and_primitive(IntPoly(), 2)
+
+
+class TestGcdAndExactDivide:
+    def test_gcd_with_zero_is_the_primitive_part(self):
+        f = IntPoly([4, -6])
+        assert poly_gcd(f, IntPoly()) == poly_gcd(IntPoly(), f) == IntPoly([-2, 3])
+
+    def test_exact_divide_errors(self):
+        x = IntPoly([0, 1])
+        with pytest.raises(ZeroPolynomial):
+            exact_divide(x, IntPoly())
+        # a divisor of higher degree, a leading coefficient that does not
+        # divide, and a nonzero remainder
+        for f, g in [(IntPoly([1]), x), (x, IntPoly([0, 2])), (IntPoly([1, 1]), x)]:
+            with pytest.raises(ValueError, match="division is not exact"):
+                exact_divide(f, g)
 
 
 class TestSquarefreePart:

@@ -12,6 +12,7 @@ from igusazeta.exactpoly import (
     valuation,
 )
 from igusazeta.igusa import (
+    BranchParams,
     _extract_branches,
     _poincare_and_zeta,
     _run_pipeline,
@@ -89,6 +90,20 @@ class TestStabilityThreshold:
         assert stability_threshold(QUADRATIC, 2) == 5
         assert stability_threshold(X2, 3) == 3
         assert stability_threshold(X2_MINUS_1, 2) == 7
+
+
+class TestBranchParams:
+    @pytest.mark.parametrize(
+        "e, nu, k_align, message",
+        [
+            (0, 0, 1, "multiplicity must be positive"),
+            (1, -1, 1, "valuation must be nonnegative"),
+            (2, 1, 4, "k_align is not aligned"),
+        ],
+    )
+    def test_validation(self, e, nu, k_align, message):
+        with pytest.raises(ValueError, match=message):
+            BranchParams(multiplicity=e, valuation=nu, k_align=k_align, prefix=())
 
 
 class TestExtractBranches:
@@ -243,6 +258,22 @@ class TestPrimeBelowTwo:
     def test_rejected(self, call, p):
         with pytest.raises(ValueError, match="p must be at least 2"):
             call(IntPoly([1, 1]), p)
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (4, "p must be prime"),
+        (6, "p must be prime"),
+        (1, "p must be at least 2"),
+        (0, "p must be at least 2"),
+    ],
+)
+@pytest.mark.parametrize("call", [discriminant_valuation, stability_threshold])
+def test_discriminant_rejects_p_that_is_not_prime(call, p, message):
+    # x^2 + 1 at 4 used to give delta = 1 and k0 = 5
+    with pytest.raises(ValueError, match=message):
+        call(IntPoly([1, 0, 1]), p)
 
 
 @pytest.mark.parametrize("p", [4, 6])

@@ -116,6 +116,13 @@ class TestVerifyInstance:
         with pytest.raises(ValueError, match="kmax must be nonnegative"):
             verify_instance(parse_poly("x"), 3, -1)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_enumerates_nothing(self, budget):
+        # these used to pass on the series and closed-form checks alone, which
+        # compare the library with itself
+        with pytest.raises(BudgetExceeded):
+            verify_instance(parse_poly("x"), 2, 3, budget=budget)
+
     def test_builds_one_lifting_tree(self, monkeypatch):
         # the report under test and the library side of every check share it
         built = []

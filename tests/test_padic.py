@@ -67,6 +67,11 @@ class TestIsPrime:
         assert not is_prime((2**89 - 1) * (2**61 - 1))
         assert not is_prime((2**89 - 1) ** 2)
 
+    def test_lucas_rejects_squares_and_zero_jacobi_symbols(self):
+        assert not _strong_lucas_probable_prime(1000003**2)
+        # 539191 = 41 * 13151: (D/n) is 0 at D = 41
+        assert not _strong_lucas_probable_prime(539191)
+
     def test_lucas_pseudoprimes_are_caught_by_miller_rabin(self):
         # The first strong Lucas pseudoprimes for Selfridge's parameters
         # (OEIS A217255): the Lucas half alone accepts them.
@@ -91,6 +96,10 @@ class TestRootsModP:
         assert roots_mod_p(IntPoly([1, 3, 2]), 2) == [1]
         assert roots_mod_p(IntPoly([1, 0, 1]), 5) == [2, 3]
         assert roots_mod_p(IntPoly([1, 0, 1]), 3) == []
+
+    def test_p_below_two(self):
+        with pytest.raises(ValueError, match="p must be at least 2"):
+            roots_mod_p(IntPoly([0, 1]), 1)
 
     def test_identically_zero(self):
         with pytest.raises(IdenticallyZeroModP):
@@ -117,6 +126,42 @@ class TestRootsModP:
         monkeypatch.setattr(padic, "DEFAULT_SCAN_THRESHOLD", 0)
         f = IntPoly([-2, 5, -4, 1])
         assert roots_mod_p(f, 1009) == [1, 2]
+
+
+def _fp_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % p
+    return padic._fp_trim(out)
+
+
+class TestSplittingBackend:
+    @pytest.mark.parametrize("p", [3, 1009, 1000003])
+    def test_divmod(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            m = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1]
+            a = padic._fp_trim([rng.randrange(p) for _ in range(rng.randint(0, 12))])
+            q, r = padic._fp_divmod(a, m, p)
+            assert padic._fp_sub(a, r, p) == _fp_mul(q, m, p)
+            assert len(r) < len(m)
+            if len(a) < len(m):
+                assert q == [] and r == a
+
+    def test_counter_runs_past_trial_elements_that_do_not_split(self):
+        # the Legendre symbols of 430 + a and 554 + a agree for a = 0 .. 25
+        p = 1009
+        legendre = [[pow(r + a, (p - 1) // 2, p) for r in (430, 554)] for a in range(27)]
+        assert all(x == y for x, y in legendre[:26]) and legendre[26][0] != legendre[26][1]
+        fp = padic._reduce_mod_p(IntPoly([-430, 1]) * IntPoly([-554, 1]), p)
+        assert padic._roots_by_splitting(fp, p) == [430, 554]
+
+    def test_constant_has_no_roots(self):
+        assert padic._roots_by_splitting([5], 1009) == []
+
+    def test_no_random_generator(self):
+        assert not hasattr(padic, "random")
 
 
 @pytest.mark.parametrize(
@@ -241,6 +286,10 @@ class TestLiftingTree:
 
 class TestRepRootType:
     def test_validation(self):
+        with pytest.raises(ValueError, match="p must be at least 2"):
+            RepRoot(p=1, k=2, digits=())
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            RepRoot(p=3, k=-1, digits=())
         with pytest.raises(ValueError):
             RepRoot(p=3, k=2, digits=(3,))
         with pytest.raises(ValueError):

@@ -51,6 +51,10 @@ class TestCanonicalForm:
         with pytest.raises(DivisionByZero):
             RF(IntPoly([1]), IntPoly())
 
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            RF(IntPoly([1])).num = IntPoly([2])
+
 
 class TestSeries:
     def test_geometric(self):
