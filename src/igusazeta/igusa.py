@@ -15,7 +15,7 @@ from typing import Callable
 
 from .errors import InconsistentLengths, RegimeViolation
 from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
-from .padic import RepRoot, _LiftingTree, count_roots, is_prime, valuation
+from .padic import RepRoot, _LiftingTree, _squarefree_mod_p, count_roots, is_prime, valuation
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
 
@@ -62,16 +62,22 @@ def discriminant_valuation(f: IntPoly, p: int) -> int:
     """p-adic valuation of the discriminant of the squarefree part of f.
 
     Finite for every nonzero f of degree >= 1, since the squarefree part has
-    nonzero discriminant.  Assumes f is not identically zero mod p.
+    nonzero discriminant.  The content of f, p-power or not, is ignored:
+    discriminant_valuation(2x^2 + 2, 2) is 2, the valuation for x^2 + 1.
 
-    A squarefree f is its own squarefree part up to content, and exactly
-    then its discriminant is nonzero; only the rest needs the gcd(f, f').
+    When p does not divide lc(f) and f mod p is squarefree, the answer is 0
+    and no integer discriminant is computed: Res(f, f') mod p is a unit times
+    Res(f mod p, f' mod p), which is nonzero.  Otherwise a squarefree f is
+    its own squarefree part up to content, and exactly then its discriminant
+    is nonzero; only the rest needs the gcd(f, f').
     A p below 2 or a composite p raises ValueError.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     if not is_prime(p):
         raise ValueError("p must be prime")
+    if _squarefree_mod_p(f, p):
+        return 0
     d = discriminant(f.primitive())
     if d == 0:
         d = discriminant(squarefree_part(f))

@@ -13,6 +13,7 @@ precision needed, holds these families for every shallower precision too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -28,6 +29,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BELOW = 318665857834031151167461
 
 
+@functools.lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Primality by Miller-Rabin with a fixed witness set, plus a strong
     Lucas test from _MR_PROVEN_BELOW on.
@@ -36,7 +38,8 @@ def is_prime(n: int) -> bool:
     to decide primality.  From there on the Miller-Rabin rounds (base 2
     among them) together with the strong Lucas test make up the Baillie-PSW
     test: no composite passing it is known, but none is proven not to exist.
-    No randomness is involved.
+    No randomness is involved.  The answer is cached: the lifting tree asks
+    about the same p at every node that reaches the splitting backend.
     """
     if n < 2:
         return False
@@ -214,7 +217,8 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# F_p polynomial helpers for the splitting backend (coefficients ascending).
+# F_p polynomial helpers for the splitting backend and the squarefree test
+# (coefficients ascending).
 
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -278,6 +282,19 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
         b = _fp_monic(b, p)
         a, b = b, _fp_divmod(a, b, p)[1]
     return _fp_monic(a, p) if a else []
+
+
+def _squarefree_mod_p(f: IntPoly, p: int) -> bool:
+    """True when p does not divide lc(f) and f mod p is squarefree over F_p,
+    i.e. gcd(f mod p, f' mod p) = 1.  Exactly then p does not divide
+    Res(f, f'), even if deg f' drops mod p.  A derivative that vanishes mod p,
+    as for x^p - a or a constant, gives False.  p must be prime.
+    """
+    fp = _reduce_mod_p(f, p)
+    if len(fp) != len(f.coeffs):
+        return False
+    dfp = _fp_trim([i * c % p for i, c in enumerate(fp)][1:])
+    return bool(dfp) and _fp_gcd(fp, dfp, p) == [1]
 
 
 def _roots_by_splitting(fp: list[int], p: int) -> list[int]:

@@ -84,6 +84,54 @@ class TestDiscriminantValuation:
             repeated = squarefree_part(f).degree < f.degree
             assert len(calls) == (1 if repeated else 0), (f, p)
 
+    # Around the mod-p squarefree test: p | lc, f' = 0 mod p, a repeated
+    # factor mod p only or over Q, and f squarefree mod p although deg f'
+    # drops there.
+    EDGE_CASES = {
+        "p_divides_lc": (5 * X2 + X + 1, 5, 1),
+        "x5_minus_2": (X**5 - 2, 5, 5),
+        "x3_at_3": (X**3 - 3 * X + 9, 3, 3),
+        "square_mod_p": (X2 + 5, 5, 1),
+        "square_at_2": ((X - 1) ** 2 * (X + 1), 2, 2),
+        "square_at_3": ((X - 1) ** 2 * (X + 1), 3, 0),
+        "x2_at_2": (X2 + X + 1, 2, 0),
+        "x3_plus_x_at_3": (X**3 + X + 1, 3, 0),
+    }
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases_of_the_mod_p_test(self, case):
+        f, p, delta = self.EDGE_CASES[case]
+        assert discriminant_valuation(f, p) == delta
+        assert valuation(discriminant(squarefree_part(f)), p) == delta
+
+    def test_discriminant_skipped_exactly_when_squarefree_mod_p(self, monkeypatch):
+        cases = list(self._instances()) + [(X, 2)]
+        cases += [(f, p) for f, p, _ in self.EDGE_CASES.values()]
+        # p does not divide lc(f) and f mod p is squarefree exactly when p
+        # divides neither lc(f) nor the discriminant of f.
+        skip = [
+            f.leading_coefficient % p != 0 and discriminant(f.primitive()) % p != 0
+            for f, p in cases
+        ]
+        assert any(skip) and not all(skip)
+
+        def refuse(h):
+            raise AssertionError("discriminant was computed")
+
+        monkeypatch.setattr(igusa, "discriminant", refuse)
+        for (f, p), skipped in zip(cases, skip):
+            if skipped:
+                assert discriminant_valuation(f, p) == 0, (f, p)
+            else:
+                with pytest.raises(AssertionError, match="discriminant was computed"):
+                    discriminant_valuation(f, p)
+
+    def test_content_is_ignored(self):
+        # 2x^2 + 2 = 2 (x^2 + 1), and D(x^2 + 1) = -4
+        f = IntPoly([2, 0, 2])
+        assert discriminant_valuation(f, 2) == 2
+        assert stability_threshold(f, 2) == 7 == report(f, 2).stable_precision
+
 
 class TestStabilityThreshold:
     def test_examples(self):

@@ -6,7 +6,7 @@ import pytest
 from igusazeta import padic
 from igusazeta.errors import IdenticallyZeroModP
 from igusazeta.exactpoly import IntPoly, content_and_primitive
-from igusazeta.igusa import stability_threshold
+from igusazeta.igusa import report, stability_threshold
 from igusazeta.oracle import brute_count, brute_rep_roots
 from igusazeta.padic import (
     RepRoot,
@@ -89,6 +89,14 @@ class TestIsPrime:
             q = sympy.nextprime(rng.randrange(_MR_PROVEN_BELOW, 10**40))
             assert is_prime(q)
             assert not is_prime(q * sympy.nextprime(rng.randrange(10**6, 10**20)))
+
+    def test_one_test_per_prime_per_report(self):
+        # The tree calls the splitting backend, which checks p, at every node.
+        x, p = IntPoly([0, 1]), 1000003
+        f = (x - 1) ** 2 * (x - 5) * (x**2 - 3) * (x - p**3)
+        is_prime.cache_clear()
+        report(f, p)
+        assert is_prime.cache_info().misses == 1
 
 
 class TestRootsModP:

@@ -1,13 +1,20 @@
 """Property tests: the pipeline against the brute-force oracle on generated
-inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i."""
+inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, and the discriminant
+valuation against its definition."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from igusazeta.exactpoly import IntPoly, content_and_primitive
-from igusazeta.igusa import stability_threshold
+from igusazeta.exactpoly import (
+    IntPoly,
+    content_and_primitive,
+    discriminant,
+    squarefree_part,
+    valuation,
+)
+from igusazeta.igusa import discriminant_valuation, stability_threshold
 from igusazeta.oracle import verify_instance
 
 
@@ -40,3 +47,24 @@ def test_series_holds_past_the_counts_it_was_built_from(instance):
         kmax = c + 4
     result = verify_instance(f, p, kmax, budget=10**3)
     assert result.all_pass, [x for x in result.checks if not x.passed]
+
+
+@st.composite
+def discriminant_instances(draw):
+    p = draw(st.sampled_from([2, 3, 5, 101, 1000003]))
+    f = IntPoly([draw(st.integers(1, 3))])
+    # Factors of degree 1..3 whose leading coefficient p divides now and
+    # then, some squared, so that both sides of the mod-p squarefree test
+    # (p | lc, repeated factors mod p or over Q) come up.
+    for _ in range(draw(st.integers(1, 3))):
+        lc = draw(st.sampled_from([1, -1, 2, 3, p]))
+        low = draw(st.lists(st.integers(-(p**2), p**2), min_size=1, max_size=3))
+        f = f * IntPoly(low + [lc]) ** draw(st.sampled_from([1, 1, 2]))
+    return f, p
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(discriminant_instances())
+def test_discriminant_valuation_matches_its_definition(instance):
+    f, p = instance
+    assert discriminant_valuation(f, p) == valuation(discriminant(squarefree_part(f)), p)
