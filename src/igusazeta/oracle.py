@@ -1,9 +1,13 @@
 """Brute-force ground truth used to verify the whole pipeline.
 
 Everything here works by direct enumeration of all residues mod p^k, so it is
-independent of the lifting recursion and the closed forms it checks.  The
-enumeration is vectorized with int64 arrays when the modulus is small enough
-for products to stay exact, and falls back to plain Python integers beyond.
+independent of the lifting recursion and the closed forms it checks.  A
+residue table holds f(x) mod p^K for every x below p^K; since
+(f(x) mod p^K) mod p^k = f(x) mod p^k, the roots mod every p^k with k <= K are
+read off a prefix of it, and verify_instance evaluates each polynomial once,
+at the deepest modulus it checks.  The table is built with int64 arrays when
+the modulus is small enough for products to stay exact, and with plain Python
+integers beyond.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ def _check_budget(p: int, k: int, budget: int) -> int:
     return m
 
 
-def _root_mask(f: IntPoly, m: int) -> np.ndarray:
-    """Boolean array whose entry x says whether f(x) = 0 mod m."""
+def _residue_table(f: IntPoly, m: int) -> np.ndarray:
+    """Array whose entry x is f(x) mod m, for every x in [0, m)."""
     if m <= _INT64_SAFE_MODULUS:
         xs = np.arange(m, dtype=np.int64)
         acc = np.zeros(m, dtype=np.int64)
@@ -46,26 +50,43 @@ def _root_mask(f: IntPoly, m: int) -> np.ndarray:
             acc *= xs
             acc += c % m
             acc %= m
-        return acc == 0
+        return acc
     coeffs = [c % m for c in reversed(f.coeffs)]
 
-    def is_root(x: int) -> bool:
+    def value(x: int) -> int:
         acc = 0
         for c in coeffs:
             acc = (acc * x + c) % m
-        return acc == 0
+        return acc
 
-    return np.fromiter(map(is_root, range(m)), dtype=bool, count=m)
+    # An array of m entries needs m < 2^63, so every value fits in int64.
+    return np.fromiter(map(value, range(m)), dtype=np.int64, count=m)
+
+
+def _roots_below(table: np.ndarray, m: int) -> np.ndarray:
+    # The roots mod m, for m dividing the table's modulus.
+    return np.flatnonzero(table[:m] % m == 0)
+
+
+def _count(table: np.ndarray, m: int) -> int:
+    return len(_roots_below(table, m))
+
+
+def _rep_roots(table: np.ndarray, p: int, k: int) -> list[RepRoot]:
+    m = p**k
+    roots = _roots_below(table, m).tolist()
+    reps: list[tuple[int, ...]] = []
+    if len(roots) == m:
+        reps.append(())
+    elif roots:
+        _decompose(roots, p, k, 0, (), reps)
+    return sorted((RepRoot(p=p, k=k, digits=d) for d in reps), key=lambda r: r.digits)
 
 
 def brute_count(f: IntPoly, p: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of roots of f mod p^k by evaluating every residue."""
     m = _check_budget(p, k, budget)
-    return int(np.count_nonzero(_root_mask(f, m)))
-
-
-def _brute_roots(f: IntPoly, m: int) -> list[int]:
-    return np.flatnonzero(_root_mask(f, m)).tolist()
+    return _count(_residue_table(f, m), m)
 
 
 def brute_rep_roots(
@@ -76,13 +97,7 @@ def brute_rep_roots(
     are roots while the one-digit-shorter prefix has a non-root extension.
     """
     m = _check_budget(p, k, budget)
-    roots = _brute_roots(f, m)
-    reps: list[tuple[int, ...]] = []
-    if len(roots) == m:
-        reps.append(())
-    elif roots:
-        _decompose(roots, p, k, 0, (), reps)
-    return sorted((RepRoot(p=p, k=k, digits=d) for d in reps), key=lambda r: r.digits)
+    return _rep_roots(_residue_table(f, m), p, k)
 
 
 def _decompose(
@@ -155,8 +170,9 @@ def verify_instance(
 ) -> VerificationReport:
     """Cross-check the pipeline against brute enumeration for one (f, p).
 
-    Compares root counts and representative roots for every k with
-    p^k <= budget, the Poincare series coefficients up to kmax, and the
+    Compares root counts and representative roots for every k <= kmax with
+    p^k <= budget, read off one residue table per polynomial at the deepest
+    such k, the Poincare series coefficients up to kmax, and the
     closed-form counts on the stable window.  Failures become report entries,
     never exceptions.  A budget below 1 enumerates nothing, so it raises
     BudgetExceeded.
@@ -175,23 +191,27 @@ def verify_instance(
     k0 = result.stable_precision
     counts = tree.counts()
 
-    k = 0
-    while p**k <= budget and k <= kmax:
-        expected = brute_count(f, p, k, budget)
+    deepest = 0
+    while deepest < kmax and p ** (deepest + 1) <= budget:
+        deepest += 1
+
+    table = _residue_table(f, p**deepest)
+    for k in range(deepest + 1):
+        expected = _count(table, p**k)
         actual = counts[k]
         checks.append(
             CheckResult(f"count k={k}", str(expected), str(actual), expected == actual)
         )
-        k += 1
 
-    k = 1
-    while p**k <= budget and k <= kmax:
-        expected = _fmt_reps(brute_rep_roots(g, p, k, budget))
+    if c > 0:
+        del table  # keep one table alive at a time
+        table = _residue_table(g, p**deepest)
+    for k in range(1, deepest + 1):
+        expected = _fmt_reps(_rep_roots(table, p, k))
         actual = _fmt_reps(tree.roots(c + k))
         checks.append(
             CheckResult(f"rep-roots k={k}", expected, actual, expected == actual)
         )
-        k += 1
 
     series = result.poincare.series(kmax)
     for k in range(kmax + 1):

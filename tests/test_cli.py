@@ -158,7 +158,9 @@ class TestMain:
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         import igusazeta.oracle as oracle
 
-        monkeypatch.setattr(oracle, "brute_count", lambda *a, **k: -1)
+        table = oracle._residue_table
+        # every residue's value off by one, so f's roots are misplaced
+        monkeypatch.setattr(oracle, "_residue_table", lambda f, m: table(f, m) + 1)
         code = main(["verify", "--poly", "x", "--prime", "3", "--kmax", "3"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out

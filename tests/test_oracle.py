@@ -4,7 +4,7 @@ import pytest
 
 from igusazeta.errors import BudgetExceeded
 from igusazeta.exactpoly import IntPoly
-from igusazeta import padic
+from igusazeta import oracle, padic
 from igusazeta.exactpoly import content_and_primitive
 from igusazeta.igusa import root_count
 from igusazeta.oracle import (
@@ -195,3 +195,87 @@ class TestVerifyInstance:
             result = verify_instance(f, p, 7, budget=2 * 10**4)
             failing = [c for c in result.checks if not c.passed]
             assert not failing, (f.to_text(), p, failing[:3])
+
+
+_CONTENT_CASES = [("4*x^2 + 8", 2), ("12", 2), ("2*x^3 - 4", 2)]
+
+
+def _deepest(p):
+    # the deepest precision verify_instance(f, p, 12, budget=10**5) checks
+    return max(k for k in range(13) if p**k <= 10**5)
+
+
+class TestResidueTable:
+    def test_checks_match_the_per_precision_oracle(self):
+        # verify_instance reads every precision off one table at the deepest
+        # modulus; each check must agree with enumerating mod p^k on its own.
+        # Budget 10^5 stops p = 5 and 7 before kmax, kmax 12 stops p = 2.
+        for text, p in CORPUS + _CONTENT_CASES:
+            f = parse_poly(text)
+            _, g = content_and_primitive(f, p)
+            result = verify_instance(f, p, 12, budget=10**5)
+            seen = {"count": [], "rep-roots": []}
+            for check in result.checks:
+                kind, k = check.name.split(" k=")
+                k = int(k)
+                if kind == "count":
+                    assert check.expected == str(brute_count(f, p, k)), (text, p, k)
+                elif kind == "rep-roots":
+                    want = _fmt_reps(brute_rep_roots(g, p, k))
+                    assert check.expected == want, (text, p, k)
+                else:
+                    continue
+                seen[kind].append(k)
+            deepest = _deepest(p)
+            assert seen["count"] == list(range(deepest + 1)), (text, p)
+            assert seen["rep-roots"] == list(range(1, deepest + 1)), (text, p)
+
+    def test_one_table_per_polynomial(self, monkeypatch):
+        # f's table serves the count checks; the rep-root checks share it
+        # unless the content is positive, when they need g's.
+        built = []
+        table = oracle._residue_table
+
+        def counting_table(f, m):
+            built.append((f, m))
+            return table(f, m)
+
+        monkeypatch.setattr(oracle, "_residue_table", counting_table)
+        for text, p in CORPUS + _CONTENT_CASES:
+            f = parse_poly(text)
+            c, g = content_and_primitive(f, p)
+            built.clear()
+            verify_instance(f, p, 12, budget=10**5)
+            m = p ** _deepest(p)
+            want = [(f, m), (g, m)] if c > 0 else [(f, m)]
+            assert built == want, (text, p, built)
+
+    def test_python_fallback_matches_numpy(self, monkeypatch):
+        for text, p in CORPUS + _CONTENT_CASES:
+            f = parse_poly(text)
+            want = verify_instance(f, p, 12, budget=3000).to_json_dict()
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_INT64_SAFE_MODULUS", 1)
+                assert verify_instance(f, p, 12, budget=3000).to_json_dict() == want
+
+    def test_brute_side_never_reads_the_tree(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the brute-force side read the library")
+
+        for owner, attr in [
+            (padic, "_LiftingTree"),
+            (padic, "roots_mod_p"),
+            (padic, "count_roots"),
+            (padic, "representative_roots"),
+            (oracle, "count_roots"),
+            (oracle, "representative_roots"),
+            (oracle, "root_count"),
+            (oracle, "poincare_series"),
+            (oracle, "_run_pipeline"),
+        ]:
+            monkeypatch.setattr(owner, attr, refuse)
+        f = parse_poly("x^3 - x^2 - x + 1")  # (x - 1)^2 (x + 1)
+        assert brute_count(f, 3, 4) == 10  # 1 mod 9, and -1 mod 81
+        assert _fmt_reps(brute_rep_roots(f, 3, 4)) == "1,0|2,2,2,2"
+        table = oracle._residue_table(f, 81)
+        assert table.tolist() == [f(x) % 81 for x in range(81)]
