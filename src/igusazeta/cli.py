@@ -1,14 +1,19 @@
 """Command-line front end.
 
-Subcommands: count, rep-roots, poincare, zeta, report, verify.
+Subcommands: count, rep-roots, poincare, zeta, report, verify.  Each runs one
+path: argparse parses and range-checks the arguments, _result computes the
+JSON data, the text and the exit code, and main prints one of the two once.
 Exit codes: 0 success (or all checks passed), 1 verification failure,
 2 usage or parse error, 3 domain error (composite prime, zero polynomial, ...).
+Output to a pipe whose reader has gone ends quietly with the command's own
+exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -108,6 +113,20 @@ def parse_poly(s: str) -> IntPoly:
     return IntPoly(coeffs.get(d, 0) for d in range(top + 1))
 
 
+def _at_least(low: int, name: str):
+    """An argparse type: an int of at least low (0 or 1)."""
+    bound = "nonnegative" if low == 0 else "positive"
+
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}")
+        return value
+
+    check.__name__ = "int"  # argparse names the type in "invalid int value"
+    return check
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="igusazeta",
@@ -116,129 +135,82 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(name, summary):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--poly", required=True, help="polynomial in x, e.g. '2*x^2+3*x+1'")
         sp.add_argument("--prime", required=True, type=int, help="the prime p")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        return sp
 
-    sp = sub.add_parser("count", help="print the number of roots mod p^k")
-    common(sp)
-    sp.add_argument("--k", required=True, type=int, help="the precision k")
-
-    sp = sub.add_parser("rep-roots", help="print the representative roots mod p^k")
-    common(sp)
-    sp.add_argument("--k", required=True, type=int, help="the precision k")
-
-    sp = sub.add_parser("poincare", help="print the Poincare series")
-    common(sp)
-
-    sp = sub.add_parser("zeta", help="print the Igusa local zeta function")
-    common(sp)
-
-    sp = sub.add_parser("report", help="print the full pipeline report")
-    common(sp)
-
-    sp = sub.add_parser("verify", help="cross-check against the brute-force oracle")
-    common(sp)
-    sp.add_argument("--kmax", required=True, type=int, help="check up to this precision")
+    sp = common("count", "print the number of roots mod p^k")
+    sp.add_argument("--k", required=True, type=_at_least(0, "k"), help="the precision k")
+    sp = common("rep-roots", "print the representative roots mod p^k")
+    sp.add_argument("--k", required=True, type=_at_least(1, "k"), help="the precision k")
+    common("poincare", "print the Poincare series")
+    common("zeta", "print the Igusa local zeta function")
+    common("report", "print the full pipeline report")
+    sp = common("verify", "cross-check against the brute-force oracle")
+    sp.add_argument(
+        "--kmax", required=True, type=_at_least(0, "kmax"), help="check up to this precision"
+    )
     sp.add_argument(
         "--budget",
         type=int,
         default=oracle.DEFAULT_BUDGET,
         help="enumeration budget for p^k (default %(default)s)",
     )
-
     return parser
 
 
-def _emit(data: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(data))
-    else:
-        print(text)
+def _result(args: argparse.Namespace, f: IntPoly) -> tuple[dict, str, int]:
+    """The JSON data, the text and the exit code of one subcommand."""
+    p = args.prime
+    head = {"poly": f.to_text(), "prime": str(p)}
+    if args.command == "count":
+        n = igusa.root_count(f, p, args.k)
+        return {**head, "k": args.k, "count": str(n)}, str(n), 0
+    if args.command == "rep-roots":
+        reps = padic.representative_roots(f, p, args.k)
+        data = {**head, "k": args.k, "rep_roots": [r.to_json_dict() for r in reps]}
+        return data, "\n".join(r.describe() for r in reps) or "(no roots)", 0
+    if args.command in ("poincare", "zeta"):
+        series = getattr(igusa.report(f, p), args.command)
+        return {**head, args.command: series.to_json_dict()}, series.to_text(), 0
+    if args.command == "report":
+        rep = igusa.report(f, p)
+        return rep.to_json_dict(), rep.describe(), 0
+    result = oracle.verify_instance(f, p, args.kmax, args.budget)
+    return result.to_json_dict(), result.describe(), 0 if result.all_pass else 1
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
         f = parse_poly(args.poly)
-        p = args.prime
-        if not padic.is_prime(p):
-            print(f"{p} is not prime", file=sys.stderr)
+        if not padic.is_prime(args.prime):
+            print(f"{args.prime} is not prime", file=sys.stderr)
             return 3
-
-        if args.command == "count":
-            if args.k < 0:
-                print("k must be nonnegative", file=sys.stderr)
-                return 2
-            n = igusa.root_count(f, p, args.k)
-            _emit(
-                {"poly": f.to_text(), "prime": str(p), "k": args.k, "count": str(n)},
-                args.json,
-                str(n),
-            )
-            return 0
-
-        if args.command == "rep-roots":
-            if args.k < 1:
-                print("k must be positive", file=sys.stderr)
-                return 2
-            reps = padic.representative_roots(f, p, args.k)
-            data = {
-                "poly": f.to_text(),
-                "prime": str(p),
-                "k": args.k,
-                "rep_roots": [r.to_json_dict() for r in reps],
-            }
-            _emit(data, args.json, "\n".join(r.describe() for r in reps) or "(no roots)")
-            return 0
-
-        if args.command == "poincare":
-            series = igusa.poincare_series(f, p)
-            data = {"poly": f.to_text(), "prime": str(p), "poincare": series.to_json_dict()}
-            _emit(data, args.json, series.to_text())
-            return 0
-
-        if args.command == "zeta":
-            z = igusa.zeta_function(f, p)
-            data = {"poly": f.to_text(), "prime": str(p), "zeta": z.to_json_dict()}
-            _emit(data, args.json, z.to_text())
-            return 0
-
-        if args.command == "report":
-            rep = igusa.report(f, p)
-            _emit(rep.to_json_dict(), args.json, rep.describe())
-            return 0
-
-        if args.command == "verify":
-            if args.kmax < 0:
-                print("kmax must be nonnegative", file=sys.stderr)
-                return 2
-            result = oracle.verify_instance(f, p, args.kmax, args.budget)
-            if args.json:
-                print(json.dumps(result.to_json_dict()))
-            else:
-                for check in result.checks:
-                    status = "PASS" if check.passed else "FAIL"
-                    line = f"{status} {check.name}"
-                    if not check.passed:
-                        line += f" expected={check.expected} actual={check.actual}"
-                    print(line)
-                print("all checks passed" if result.all_pass else "SOME CHECKS FAILED")
-            return 0 if result.all_pass else 1
-
-        raise AssertionError(f"unhandled command {args.command!r}")
+        data, text, code = _result(args, f)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+    try:
+        print(json.dumps(data) if args.json else text, flush=True)
+    except BrokenPipeError:
+        # The reader has gone, as with `| head`: end quietly.  Point stdout
+        # at devnull so that the interpreter's final flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def console_main() -> None:

@@ -158,6 +158,16 @@ class VerificationReport:
             "all_pass": self.all_pass,
         }
 
+    def describe(self) -> str:
+        lines = [
+            f"PASS {c.name}"
+            if c.passed
+            else f"FAIL {c.name} expected={c.expected} actual={c.actual}"
+            for c in self.checks
+        ]
+        lines.append("all checks passed" if self.all_pass else "SOME CHECKS FAILED")
+        return "\n".join(lines)
+
 
 def _fmt_reps(reps: list[RepRoot]) -> str:
     if not reps:

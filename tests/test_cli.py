@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import igusazeta
 from igusazeta.cli import main, parse_poly
 from igusazeta.errors import ParseError, VariableError
 from igusazeta.exactpoly import IntPoly
@@ -145,7 +151,17 @@ class TestMain:
     )
     def test_precision_out_of_range(self, capsys, argv, message):
         assert main(argv[:1] + ["--poly", "x", "--prime", "3"] + argv[1:]) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["count", "rep-roots", "verify"])
+    def test_precision_not_an_integer(self, capsys, command):
+        flag = "--kmax" if command == "verify" else "--k"
+        assert main([command, "--poly", "x", "--prime", "3", flag, "abc"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid int value: 'abc'" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_verify_budget_below_one(self, capsys, budget):
@@ -163,7 +179,14 @@ class TestMain:
         monkeypatch.setattr(oracle, "_residue_table", lambda f, m: table(f, m) + 1)
         code = main(["verify", "--poly", "x", "--prime", "3", "--kmax", "3"])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        *checks, last = out.splitlines()
+        assert last == "SOME CHECKS FAILED"
+        failing = [line for line in checks if not line.startswith("PASS ")]
+        assert failing
+        for line in failing:
+            assert re.fullmatch(r"FAIL \S.* expected=.* actual=.*", line), line
 
     def test_report_json_round_trip(self, capsys):
         code = main(["report", "--poly", "2*x^2+3*x+1", "--prime", "2", "--json"])
@@ -212,3 +235,41 @@ class TestMain:
         code = main(["count", "--poly", "x^2-1", "--prime", "1000003", "--k", "2"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "2"
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output(capsys, case):
+    """Exact stdout and exit code of every subcommand, text and --json.
+
+    cli_golden.json holds the output of `python -m igusazeta <argv>` as it
+    was before the one-emitter rewrite of cli.main.
+    """
+    assert main(case["argv"]) == case["code"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_closed_pipe_ends_quietly(fmt):
+    # About 113 KB of text: more than a pipe holds, so the writer is still
+    # writing when the reader goes away.
+    argv = ["verify", "--poly", "x", "--prime", "2", "--kmax", "6000", "--budget", "1"]
+    src = str(Path(igusazeta.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "igusazeta", *argv, *fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline(1024)
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert first
+    assert code == 0
+    assert err == ""
