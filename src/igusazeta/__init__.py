@@ -7,6 +7,7 @@ floating point is used anywhere in the computation.
 """
 
 from .errors import (
+    ArgumentError,
     BudgetExceeded,
     DegreeZero,
     DivisionByZero,

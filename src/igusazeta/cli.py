@@ -191,9 +191,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         f = parse_poly(args.poly)
-        if not padic.is_prime(args.prime):
-            print(f"{args.prime} is not prime", file=sys.stderr)
-            return 3
         data, text, code = _result(args, f)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,13 @@ class ZetaError(Exception):
     """Base class for every domain error raised by this package."""
 
 
+class ArgumentError(ZetaError, ValueError):
+    """An argument lies outside the operation's domain: a p that is not a
+    prime, a negative precision, an exponent or order below zero, an inexact
+    division.  It is a ValueError too, for callers that catch that.
+    """
+
+
 class ZeroPolynomial(ZetaError):
     """The operation is undefined for the zero polynomial."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegreeZero, ZeroPolynomial
+from .errors import ArgumentError, DegreeZero, ZeroPolynomial
 
 NEG_INFINITY = float("-inf")
 
@@ -114,7 +114,7 @@ class IntPoly:
 
     def __pow__(self, n: int) -> "IntPoly":
         if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+            raise ArgumentError("exponent must be a nonnegative integer")
         result = IntPoly((1,))
         base = self
         while n:
@@ -196,7 +196,7 @@ def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
 def valuation(a: int, p: int) -> int | float:
     """Exponent of the largest power of p dividing a; math.inf for a = 0."""
     if p < 2:
-        raise ValueError("p must be at least 2")
+        raise ArgumentError("p must be at least 2")
     if a == 0:
         return math.inf
     v = 0
@@ -266,21 +266,21 @@ def exact_divide(f: IntPoly, g: IntPoly) -> IntPoly:
         return IntPoly()
     dq = f.degree - g.degree
     if dq < 0:
-        raise ValueError("division is not exact")
+        raise ArgumentError("division is not exact")
     rem = list(f.coeffs)
     quo = [0] * (dq + 1)
     lcg = g.leading_coefficient
     for i in range(dq, -1, -1):
         c = rem[g.degree + i]
         if c % lcg:
-            raise ValueError("division is not exact")
+            raise ArgumentError("division is not exact")
         q = c // lcg
         quo[i] = q
         if q:
             for j, gc in enumerate(g.coeffs):
                 rem[i + j] -= q * gc
     if any(rem):
-        raise ValueError("division is not exact")
+        raise ArgumentError("division is not exact")
     return IntPoly(quo)
 
 

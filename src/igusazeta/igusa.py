@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InconsistentLengths, RegimeViolation
+from .errors import ArgumentError, InconsistentLengths, RegimeViolation
 from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
-from .padic import RepRoot, _LiftingTree, _squarefree_mod_p, count_roots, is_prime, valuation
+from .padic import RepRoot, _LiftingTree, _squarefree_mod_p, check_prime, count_roots, valuation
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
 
@@ -38,11 +38,11 @@ class BranchParams:
 
     def __post_init__(self):
         if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
+            raise ArgumentError("multiplicity must be positive")
         if self.valuation < 0:
-            raise ValueError("valuation must be nonnegative")
+            raise ArgumentError("valuation must be nonnegative")
         if (self.k_align - self.valuation) % self.multiplicity:
-            raise ValueError("k_align is not aligned with the branch parameters")
+            raise ArgumentError("k_align is not aligned with the branch parameters")
 
     def prefix_length(self, k: int) -> int:
         """Length of the branch's representative root at precision k:
@@ -70,12 +70,9 @@ def discriminant_valuation(f: IntPoly, p: int) -> int:
     Res(f mod p, f' mod p), which is nonzero.  Otherwise a squarefree f is
     its own squarefree part up to content, and exactly then its discriminant
     is nonzero; only the rest needs the gcd(f, f').
-    A p below 2 or a composite p raises ValueError.
+    A p that is not a prime raises ArgumentError, checked first.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    check_prime(p)
     if _squarefree_mod_p(f, p):
         return 0
     d = discriminant(f.primitive())

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import ArgumentError, BudgetExceeded
 from .exactpoly import IntPoly, content_and_primitive
 from .igusa import _run_pipeline, closed_form_count
 from .igusa import poincare_series, root_count  # noqa: F401  rebound by benchmarks/tracer.py
@@ -32,9 +32,9 @@ _INT64_SAFE_MODULUS = 3_037_000_499
 
 def _check_budget(p: int, k: int, budget: int) -> int:
     if p < 2:
-        raise ValueError("p must be at least 2")
+        raise ArgumentError("p must be at least 2")
     if k < 0:
-        raise ValueError("precision k must be nonnegative")
+        raise ArgumentError("precision k must be nonnegative")
     m = p**k
     if m > budget:
         raise BudgetExceeded(f"p^k = {m} exceeds the enumeration budget {budget}")
@@ -193,7 +193,7 @@ def verify_instance(
     of g, read off the tree at precision c + k.
     """
     if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+        raise ArgumentError("kmax must be nonnegative")
     _check_budget(p, 0, budget)
     checks: list[CheckResult] = []
     c, g = content_and_primitive(f, p)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import IdenticallyZeroModP
+from .errors import ArgumentError, IdenticallyZeroModP
 from .exactpoly import IntPoly, compose_linear, content_and_primitive, valuation
 
 DEFAULT_SCAN_THRESHOLD = 1 << 16
@@ -38,8 +38,8 @@ def is_prime(n: int) -> bool:
     to decide primality.  From there on the Miller-Rabin rounds (base 2
     among them) together with the strong Lucas test make up the Baillie-PSW
     test: no composite passing it is known, but none is proven not to exist.
-    No randomness is involved.  The answer is cached: the lifting tree asks
-    about the same p at every node that reaches the splitting backend.
+    No randomness is involved.  The answer is cached: check_prime asks
+    about the same p at every node of the lifting tree.
     """
     if n < 2:
         return False
@@ -64,6 +64,16 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return n < _MR_PROVEN_BELOW or _strong_lucas_probable_prime(n)
+
+
+def check_prime(p: int) -> None:
+    """Raise ArgumentError unless p is a prime.  Every entry point that needs
+    a prime p asks here first, and nowhere else decides primality.
+    """
+    if p < 2:
+        raise ArgumentError("p must be at least 2")
+    if not is_prime(p):
+        raise ArgumentError(f"p must be prime: {p} is not prime")
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -134,13 +144,13 @@ class RepRoot:
 
     def __post_init__(self):
         if self.p < 2:
-            raise ValueError("p must be at least 2")
+            raise ArgumentError("p must be at least 2")
         if self.k < 0:
-            raise ValueError("k must be nonnegative")
+            raise ArgumentError("k must be nonnegative")
         if len(self.digits) > self.k:
-            raise ValueError("prefix longer than the precision")
+            raise ArgumentError("prefix longer than the precision")
         if any(d < 0 or d >= self.p for d in self.digits):
-            raise ValueError("digits must lie in [0, p)")
+            raise ArgumentError("digits must lie in [0, p)")
 
     @property
     def length(self) -> int:
@@ -193,12 +203,10 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     followed by equal-degree splitting for large p.  The splitting backend
     counts its trial elements a = 0, 1, 2, ... rather than drawing them, and
     any p consecutive ones split a product of distinct linear factors, so
-    each split ends within p trials.  It needs an odd prime p, and a
-    composite p that would reach it raises ValueError.  The scan answers any
-    p >= 2 below the threshold.
+    each split ends within p trials.  Both backends take a prime p only:
+    any other p raises ArgumentError.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    check_prime(p)
     fp = _reduce_mod_p(f, p)
     if not fp:
         raise IdenticallyZeroModP(f"polynomial is identically zero mod {p}")
@@ -211,8 +219,6 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
             if acc == 0:
                 out.append(r)
         return out
-    if not is_prime(p):
-        raise ValueError("p must be prime")
     return _roots_by_splitting(fp, p)
 
 
@@ -342,10 +348,9 @@ class _LiftingTree:
     """
 
     def __init__(self, f: IntPoly, p: int, k: int):
+        check_prime(p)
         self.p, self.k = p, k
         c, g = content_and_primitive(f, p)
-        if not is_prime(p):
-            raise ValueError("p must be prime")
         # (parent, digit, depth, used precision) per node; parents come first
         self.nodes = [(-1, 0, 0, c)]
         stack = [(0, g)] if c < k else []
@@ -379,7 +384,7 @@ class _LiftingTree:
     def _at(self, k: int) -> list[int]:
         """The nodes that are the maximal representative roots mod p^k."""
         if not 1 <= k <= self.k:
-            raise ValueError(f"precision {k} is outside 1..{self.k} of this tree")
+            raise ArgumentError(f"precision {k} is outside 1..{self.k} of this tree")
         intervals = zip(self.below, self.cover)
         return [n for n, (below, cover) in enumerate(intervals) if below < k <= cover]
 
@@ -413,12 +418,12 @@ def representative_roots(f: IntPoly, p: int, k: int) -> list[RepRoot]:
     of a nonzero f mod p^k, sorted by digit string.  Requires k >= 1.
     """
     if k < 1:
-        raise ValueError("precision k must be positive")
+        raise ArgumentError("precision k must be positive")
     return _LiftingTree(f, p, k).roots(k)
 
 
 def count_roots(f: IntPoly, p: int, k: int) -> int:
     """Exact number of roots of a nonzero f mod p^k (1 for k = 0)."""
     if k < 0:
-        raise ValueError("precision k must be nonnegative")
+        raise ArgumentError("precision k must be nonnegative")
     return _LiftingTree(f, p, k).counts()[k]

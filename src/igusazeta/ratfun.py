@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZero, PoleAtZero
+from .errors import ArgumentError, DivisionByZero, PoleAtZero
 from .exactpoly import IntPoly, exact_divide, poly_gcd
 
 
@@ -83,7 +83,7 @@ class RationalFunction:
         c_j = (num_j - sum_{i>=1} den_i * c_{j-i}) / den_0.
         """
         if order < 0:
-            raise ValueError("order must be nonnegative")
+            raise ArgumentError("order must be nonnegative")
         den = self.den.coeffs
         if den[0] == 0:
             raise PoleAtZero("denominator vanishes at t = 0")

@@ -84,7 +84,19 @@ class TestMain:
 
     def test_composite_prime(self, capsys):
         assert main(["zeta", "--poly", "x", "--prime", "4"]) == 3
-        assert "4 is not prime" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: p must be prime: 4 is not prime\n"
+
+    @pytest.mark.parametrize("prime", ["1", "0", "-7"])
+    @pytest.mark.parametrize(
+        "command",
+        [["zeta"], ["count", "--k", "2"], ["verify", "--kmax", "3"]],
+        ids=["zeta", "count", "verify"],
+    )
+    def test_prime_below_two(self, capsys, command, prime):
+        assert main([*command, "--poly", "x", "--prime", prime]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: p must be at least 2\n"
 
     def test_strong_pseudoprime_rejected(self, capsys):
         # 1287836182261 * 2575672364521 passes Miller-Rabin to the bases 2..37.

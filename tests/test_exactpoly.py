@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from igusazeta.errors import DegreeZero, ZeroPolynomial
+from igusazeta.errors import ArgumentError, DegreeZero, ZeroPolynomial
 from igusazeta.exactpoly import (
     IntPoly,
     compose_linear,
@@ -78,6 +78,10 @@ class TestIntPolyBasics:
         assert (f**3).coeffs == (1, 3, 3, 1)
         assert 1 - IntPoly([0, 1]) == IntPoly([1, -1])
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ArgumentError, match="exponent must be a nonnegative integer"):
+            IntPoly([1, 1]) ** -1
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             IntPoly([1]).coeffs = (2,)
@@ -138,6 +142,13 @@ class TestGcdAndExactDivide:
         f = IntPoly([4, -6])
         assert poly_gcd(f, IntPoly()) == poly_gcd(IntPoly(), f) == IntPoly([-2, 3])
 
+    def test_gcd_of_two_zeros_rejected(self):
+        with pytest.raises(ZeroPolynomial):
+            poly_gcd(IntPoly(), IntPoly())
+
+    def test_zero_divided_is_zero(self):
+        assert exact_divide(IntPoly(), IntPoly([1, 1])).is_zero
+
     def test_exact_divide_errors(self):
         x = IntPoly([0, 1])
         with pytest.raises(ZeroPolynomial):
@@ -145,7 +156,7 @@ class TestGcdAndExactDivide:
         # a divisor of higher degree, a leading coefficient that does not
         # divide, and a nonzero remainder
         for f, g in [(IntPoly([1]), x), (x, IntPoly([0, 2])), (IntPoly([1, 1]), x)]:
-            with pytest.raises(ValueError, match="division is not exact"):
+            with pytest.raises(ArgumentError, match="division is not exact"):
                 exact_divide(f, g)
 
 

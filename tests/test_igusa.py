@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from igusazeta.errors import InconsistentLengths, RegimeViolation, ZeroPolynomial
+from igusazeta.errors import ArgumentError, InconsistentLengths, RegimeViolation, ZeroPolynomial
 from igusazeta import igusa
 from igusazeta.exactpoly import (
     IntPoly,
@@ -150,7 +150,7 @@ class TestBranchParams:
         ],
     )
     def test_validation(self, e, nu, k_align, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ArgumentError, match=message):
             BranchParams(multiplicity=e, valuation=nu, k_align=k_align, prefix=())
 
 
@@ -275,7 +275,7 @@ class TestInconsistentLengths:
 class TestRootCount:
     def test_negative_precision(self):
         # with content 2 this used to return the float 2**-1
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ArgumentError, match="nonnegative"):
             root_count(IntPoly([12]), 2, -1)
 
 
@@ -304,7 +304,7 @@ class TestPrimeBelowTwo:
         ],
     )
     def test_rejected(self, call, p):
-        with pytest.raises(ValueError, match="p must be at least 2"):
+        with pytest.raises(ArgumentError, match="p must be at least 2"):
             call(IntPoly([1, 1]), p)
 
 
@@ -320,7 +320,7 @@ class TestPrimeBelowTwo:
 @pytest.mark.parametrize("call", [discriminant_valuation, stability_threshold])
 def test_discriminant_rejects_p_that_is_not_prime(call, p, message):
     # x^2 + 1 at 4 used to give delta = 1 and k0 = 5
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ArgumentError, match=message):
         call(IntPoly([1, 0, 1]), p)
 
 
@@ -339,7 +339,7 @@ def test_discriminant_rejects_p_that_is_not_prime(call, p, message):
 def test_pipeline_rejects_composite_p(call, p):
     # 12*x + 12 at 6 used to fail inside branch extraction with
     # InconsistentLengths, an error that stands for an internal bug.
-    with pytest.raises(ValueError, match="p must be prime"):
+    with pytest.raises(ArgumentError, match="p must be prime"):
         call(parse_poly("12*x + 12"), p)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from igusazeta.errors import BudgetExceeded
+from igusazeta.errors import ArgumentError, BudgetExceeded
 from igusazeta.exactpoly import IntPoly
 from igusazeta import oracle, padic
 from igusazeta.exactpoly import content_and_primitive
@@ -29,7 +29,7 @@ class TestBruteCount:
         assert brute_count(IntPoly([5]), 7, 0) == 1
 
     def test_negative_precision(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ArgumentError, match="nonnegative"):
             brute_count(IntPoly([0, 1]), 2, -1)
 
     def test_budget(self):
@@ -56,7 +56,7 @@ class TestBruteCount:
 def test_p_below_two_rejected(call, p):
     # brute_count(x, 1, 3) used to return 1; p = 0 divided by zero and p = -2
     # asked numpy for an array of negative size
-    with pytest.raises(ValueError, match="p must be at least 2"):
+    with pytest.raises(ArgumentError, match="p must be at least 2"):
         call(IntPoly([0, 1]), p, 3)
 
 
@@ -77,7 +77,7 @@ class TestBruteRepRoots:
         assert [r.digits for r in reps] == [()]
 
     def test_negative_precision(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ArgumentError, match="nonnegative"):
             brute_rep_roots(IntPoly([0, 1]), 2, -1)
 
     def test_denotes_exactly_the_root_set(self):
@@ -113,7 +113,7 @@ class TestVerifyInstance:
             assert not failing, (text, p, failing[:3])
 
     def test_negative_kmax(self):
-        with pytest.raises(ValueError, match="kmax must be nonnegative"):
+        with pytest.raises(ArgumentError, match="kmax must be nonnegative"):
             verify_instance(parse_poly("x"), 3, -1)
 
     @pytest.mark.parametrize("budget", [0, -1])

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from igusazeta import padic
-from igusazeta.errors import IdenticallyZeroModP
+from igusazeta.errors import ArgumentError, IdenticallyZeroModP, ZetaError
 from igusazeta.exactpoly import IntPoly, content_and_primitive
 from igusazeta.igusa import report, stability_threshold
 from igusazeta.oracle import brute_count, brute_rep_roots
@@ -91,12 +91,36 @@ class TestIsPrime:
             assert not is_prime(q * sympy.nextprime(rng.randrange(10**6, 10**20)))
 
     def test_one_test_per_prime_per_report(self):
-        # The tree calls the splitting backend, which checks p, at every node.
+        # The tree calls roots_mod_p, which checks p, at every node.
         x, p = IntPoly([0, 1]), 1000003
         f = (x - 1) ** 2 * (x - 5) * (x**2 - 3) * (x - p**3)
         is_prime.cache_clear()
         report(f, p)
         assert is_prime.cache_info().misses == 1
+
+
+class TestCheckPrime:
+    def test_primes_pass(self):
+        for p in (2, 3, 65537, 10**9 + 7, 2**61 - 1):
+            assert padic.check_prime(p) is None
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (1, "p must be at least 2"),
+            (0, "p must be at least 2"),
+            (-7, "p must be at least 2"),
+            (4, "p must be prime: 4 is not prime"),
+            (65536, "p must be prime: 65536 is not prime"),
+            (_MR_PROVEN_BELOW, f"p must be prime: {_MR_PROVEN_BELOW} is not prime"),
+        ],
+    )
+    def test_rejects(self, p, message):
+        with pytest.raises(ArgumentError, match=message) as err:
+            padic.check_prime(p)
+        # Callers may catch either the package's errors or ValueError.
+        assert isinstance(err.value, ZetaError)
+        assert isinstance(err.value, ValueError)
 
 
 class TestRootsModP:
@@ -106,7 +130,7 @@ class TestRootsModP:
         assert roots_mod_p(IntPoly([1, 0, 1]), 3) == []
 
     def test_p_below_two(self):
-        with pytest.raises(ValueError, match="p must be at least 2"):
+        with pytest.raises(ArgumentError, match="p must be at least 2"):
             roots_mod_p(IntPoly([0, 1]), 1)
 
     def test_identically_zero(self):
@@ -182,6 +206,8 @@ class TestSplittingBackend:
         (lambda f, p: representative_roots(f, p, 2), 4),
         (lambda f, p: representative_roots(f, p, 2), 6),
         (roots_mod_p, 65536),
+        (roots_mod_p, 4),
+        (roots_mod_p, 9),
     ],
     ids=[
         "count_roots-65536",
@@ -191,12 +217,15 @@ class TestSplittingBackend:
         "representative_roots-4",
         "representative_roots-6",
         "roots_mod_p-65536",
+        "roots_mod_p-4",
+        "roots_mod_p-9",
     ],
 )
 def test_composite_p_rejected(call, p):
     # At 65536 the splitting backend, which assumes a field, gave one root of
-    # x^2 - 1 where there are four (1, 32767, 32769, 65535).
-    with pytest.raises(ValueError, match="p must be prime"):
+    # x^2 - 1 where there are four (1, 32767, 32769, 65535).  At 4 the scan
+    # answered [1, 3], roots of x^2 - 1 in Z/4, not in a field.
+    with pytest.raises(ArgumentError, match="p must be prime"):
         call(IntPoly([-1, 0, 1]), p)
 
 
@@ -231,7 +260,7 @@ class TestRepresentativeRoots:
                 assert representative_roots(f, p, k) == brute_rep_roots(f, p, k), (f, p, k)
 
     def test_invalid_precision(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             representative_roots(IntPoly([0, 1]), 2, 0)
 
     def test_splitting_backend_gives_same_decomposition(self, monkeypatch):
@@ -288,19 +317,19 @@ class TestLiftingTree:
 
     def test_rejects_precision_beyond_its_walk(self):
         tree = _LiftingTree(IntPoly([-1, 0, 1]), 2, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             tree.roots(6)
 
 
 class TestRepRootType:
     def test_validation(self):
-        with pytest.raises(ValueError, match="p must be at least 2"):
+        with pytest.raises(ArgumentError, match="p must be at least 2"):
             RepRoot(p=1, k=2, digits=())
-        with pytest.raises(ValueError, match="k must be nonnegative"):
+        with pytest.raises(ArgumentError, match="k must be nonnegative"):
             RepRoot(p=3, k=-1, digits=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             RepRoot(p=3, k=2, digits=(3,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             RepRoot(p=3, k=1, digits=(1, 2))
 
     def test_value_and_count(self):

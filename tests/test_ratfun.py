@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from igusazeta.errors import DivisionByZero, PoleAtZero
+from igusazeta.errors import ArgumentError, DivisionByZero, PoleAtZero
 from igusazeta.exactpoly import IntPoly
 from igusazeta.ratfun import RationalFunction
 
@@ -55,6 +55,10 @@ class TestCanonicalForm:
         with pytest.raises(AttributeError):
             RF(IntPoly([1])).num = IntPoly([2])
 
+    def test_rejects_what_is_not_a_polynomial(self):
+        with pytest.raises(TypeError, match="cannot interpret str"):
+            RF("t")
+
 
 class TestSeries:
     def test_geometric(self):
@@ -79,6 +83,10 @@ class TestSeries:
         r = RF(IntPoly([1]), IntPoly([0, 1]))
         with pytest.raises(PoleAtZero):
             r.series(2)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ArgumentError, match="order must be nonnegative"):
+            RF(1).series(-1)
 
 
 class TestSerialization:
