@@ -45,7 +45,7 @@ class PoleAtZero(ZetaError):
 
 
 class BudgetExceeded(ZetaError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """A brute-force enumeration would exceed its budget, the int64 limit or memory."""
 
 
 class ParseError(ZetaError):

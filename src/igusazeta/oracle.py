@@ -5,13 +5,13 @@ independent of the lifting recursion and the closed forms it checks.  A
 residue table holds f(x) mod p^K for every x below p^K; since
 (f(x) mod p^K) mod p^k = f(x) mod p^k, the roots mod every p^k with k <= K are
 read off a prefix of it, and verify_instance evaluates each polynomial once,
-at the deepest modulus it checks.  The table is built with int64 arrays when
-the modulus is small enough for products to stay exact, and with plain Python
-integers beyond.
+at the deepest modulus it checks.  The table is an int64 array, exact since
+_check_budget admits no modulus above _INT64_SAFE_MODULUS.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +21,7 @@ from .errors import ArgumentError, BudgetExceeded
 from .exactpoly import IntPoly, content_and_primitive
 from .igusa import _run_pipeline, closed_form_count
 from .igusa import poincare_series, root_count  # noqa: F401  rebound by benchmarks/tracer.py
-from .padic import RepRoot
+from .padic import RepRoot, check_prime
 from .padic import count_roots, representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 
 DEFAULT_BUDGET = 10**7
@@ -31,6 +31,7 @@ _INT64_SAFE_MODULUS = 3_037_000_499
 
 
 def _check_budget(p: int, k: int, budget: int) -> int:
+    """p^k, if at most the budget and _INT64_SAFE_MODULUS; else BudgetExceeded."""
     if p < 2:
         raise ArgumentError("p must be at least 2")
     if k < 0:
@@ -38,12 +39,22 @@ def _check_budget(p: int, k: int, budget: int) -> int:
     m = p**k
     if m > budget:
         raise BudgetExceeded(f"p^k = {m} exceeds the enumeration budget {budget}")
+    if m > _INT64_SAFE_MODULUS:
+        raise BudgetExceeded(f"p^k = {m} exceeds the int64 limit {_INT64_SAFE_MODULUS}")
     return m
+
+
+@contextmanager
+def _in_memory(m: int):
+    try:
+        yield
+    except MemoryError:
+        raise BudgetExceeded(f"a table of {m} residues does not fit in memory") from None
 
 
 def _residue_table(f: IntPoly, m: int) -> np.ndarray:
     """Array whose entry x is f(x) mod m, for every x in [0, m)."""
-    if m <= _INT64_SAFE_MODULUS:
+    with _in_memory(m):
         xs = np.arange(m, dtype=np.int64)
         acc = np.zeros(m, dtype=np.int64)
         for c in reversed(f.coeffs):
@@ -51,42 +62,28 @@ def _residue_table(f: IntPoly, m: int) -> np.ndarray:
             acc += c % m
             acc %= m
         return acc
-    coeffs = [c % m for c in reversed(f.coeffs)]
-
-    def value(x: int) -> int:
-        acc = 0
-        for c in coeffs:
-            acc = (acc * x + c) % m
-        return acc
-
-    # An array of m entries needs m < 2^63, so every value fits in int64.
-    return np.fromiter(map(value, range(m)), dtype=np.int64, count=m)
 
 
 def _roots_below(table: np.ndarray, m: int) -> np.ndarray:
     # The roots mod m, for m dividing the table's modulus.
-    return np.flatnonzero(table[:m] % m == 0)
-
-
-def _count(table: np.ndarray, m: int) -> int:
-    return len(_roots_below(table, m))
+    with _in_memory(m):
+        return np.flatnonzero(table[:m] % m == 0)
 
 
 def _rep_roots(table: np.ndarray, p: int, k: int) -> list[RepRoot]:
     m = p**k
-    roots = _roots_below(table, m).tolist()
     reps: list[tuple[int, ...]] = []
-    if len(roots) == m:
-        reps.append(())
-    elif roots:
-        _decompose(roots, p, k, 0, (), reps)
+    with _in_memory(m):  # the root list and its grouping allocate too
+        roots = _roots_below(table, m).tolist()
+        if roots:
+            _decompose(roots, p, k, 0, (), reps)
     return sorted((RepRoot(p=p, k=k, digits=d) for d in reps), key=lambda r: r.digits)
 
 
 def brute_count(f: IntPoly, p: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of roots of f mod p^k by evaluating every residue."""
     m = _check_budget(p, k, budget)
-    return _count(_residue_table(f, m), m)
+    return len(_roots_below(_residue_table(f, m), m))
 
 
 def brute_rep_roots(
@@ -180,12 +177,12 @@ def verify_instance(
 ) -> VerificationReport:
     """Cross-check the pipeline against brute enumeration for one (f, p).
 
-    Compares root counts and representative roots for every k <= kmax with
-    p^k <= budget, read off one residue table per polynomial at the deepest
-    such k, the Poincare series coefficients up to kmax, and the
+    Compares root counts and representative roots for every k <= kmax that
+    _check_budget admits, read off one residue table per polynomial at the
+    deepest such k, the Poincare series coefficients up to kmax, and the
     closed-form counts on the stable window.  Failures become report entries,
-    never exceptions.  A budget below 1 enumerates nothing, so it raises
-    BudgetExceeded.
+    never exceptions.  p is checked first.  A budget below 1 enumerates
+    nothing, so it raises BudgetExceeded.
 
     The library side is the report of (f, p) and the one lifting tree it is
     read from, walked deep enough to answer every precision checked.  With
@@ -194,20 +191,21 @@ def verify_instance(
     """
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
-    _check_budget(p, 0, budget)
+    check_prime(p)
+    deepest, m = 0, _check_budget(p, 0, budget)
+    with suppress(BudgetExceeded):
+        while deepest < kmax:
+            m = _check_budget(p, deepest + 1, budget)
+            deepest += 1
     checks: list[CheckResult] = []
     c, g = content_and_primitive(f, p)
     result, tree = _run_pipeline(f, p, kmax)
     k0 = result.stable_precision
     counts = tree.counts()
 
-    deepest = 0
-    while deepest < kmax and p ** (deepest + 1) <= budget:
-        deepest += 1
-
-    table = _residue_table(f, p**deepest)
+    table = _residue_table(f, m)
     for k in range(deepest + 1):
-        expected = _count(table, p**k)
+        expected = len(_roots_below(table, p**k))
         actual = counts[k]
         checks.append(
             CheckResult(f"count k={k}", str(expected), str(actual), expected == actual)
@@ -215,7 +213,7 @@ def verify_instance(
 
     if c > 0:
         del table  # keep one table alive at a time
-        table = _residue_table(g, p**deepest)
+        table = _residue_table(g, m)
     for k in range(1, deepest + 1):
         expected = _fmt_reps(_rep_roots(table, p, k))
         actual = _fmt_reps(tree.roots(c + k))

@@ -183,6 +183,27 @@ class TestMain:
         assert "enumeration budget" in captured.err
         assert "all checks passed" not in captured.out
 
+    def test_verify_decides_p_before_the_budget(self, capsys):
+        argv = ["verify", "--poly", "x", "--prime", "4", "--kmax", "3", "--budget", "0"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: p must be prime: 4 is not prime\n"
+
+    def test_verify_table_that_does_not_fit(self, capsys, monkeypatch):
+        import numpy
+
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        # up to the int64 limit: a table of 2^31 residues, refused by numpy
+        monkeypatch.setattr(numpy, "arange", refuse)
+        argv = ["verify", "--poly", "x", "--prime", "2", "--kmax", "40", "--budget", "10000000000"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a table of 2147483648 residues does not fit in memory\n"
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         import igusazeta.oracle as oracle
 

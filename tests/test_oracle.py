@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from igusazeta.errors import ArgumentError, BudgetExceeded
@@ -37,18 +38,28 @@ class TestBruteCount:
             brute_count(IntPoly([0, 1]), 2, 24)
         assert brute_count(IntPoly([0, 1]), 2, 24, budget=2**24) == 1
 
-    def test_python_fallback_matches_numpy(self):
-        # force the big-int path by shrinking the budget check around it
-        from igusazeta import oracle
+    def test_int64_limit_refuses_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a table beyond the int64 limit")
 
-        f = IntPoly([3, -2, 1, 1])
-        m_path = brute_count(f, 5, 6)
-        saved = oracle._INT64_SAFE_MODULUS
-        try:
-            oracle._INT64_SAFE_MODULUS = 1
-            assert brute_count(f, 5, 6) == m_path
-        finally:
-            oracle._INT64_SAFE_MODULUS = saved
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(BudgetExceeded, match="int64 limit 3037000499"):
+            brute_count(IntPoly([0, 1]), 2, 32, budget=2**33)
+        with pytest.raises(BudgetExceeded, match="int64 limit"):
+            brute_rep_roots(IntPoly([0, 1]), 3, 20, budget=10**10)
+
+
+@pytest.mark.parametrize("step", ["arange", "flatnonzero"], ids=["build", "read"])
+@pytest.mark.parametrize("call", [brute_count, brute_rep_roots])
+def test_table_that_does_not_fit_is_a_budget_error(monkeypatch, call, step):
+    # numpy raises MemoryError when it cannot allocate the table or the
+    # temporaries of a read
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, step, refuse)
+    with pytest.raises(BudgetExceeded, match="a table of 243 residues does not fit"):
+        call(IntPoly([-2, 0, 1]), 3, 5)
 
 
 @pytest.mark.parametrize("p", [1, 0, -1, -2])
@@ -122,6 +133,10 @@ class TestVerifyInstance:
         # compare the library with itself
         with pytest.raises(BudgetExceeded):
             verify_instance(parse_poly("x"), 2, 3, budget=budget)
+
+    def test_p_is_decided_before_the_budget(self):
+        with pytest.raises(ArgumentError, match="p must be prime: 4 is not prime"):
+            verify_instance(parse_poly("x"), 4, 3, budget=0)
 
     def test_builds_one_lifting_tree(self, monkeypatch):
         # the report under test and the library side of every check share it
@@ -250,13 +265,22 @@ class TestResidueTable:
             want = [(f, m), (g, m)] if c > 0 else [(f, m)]
             assert built == want, (text, p, built)
 
-    def test_python_fallback_matches_numpy(self, monkeypatch):
+    def test_int64_limit_stops_the_checks_as_the_budget_does(self, monkeypatch):
+        # a budget above the limit checks every k with p^k <= the limit
         for text, p in CORPUS + _CONTENT_CASES:
             f = parse_poly(text)
-            want = verify_instance(f, p, 12, budget=3000).to_json_dict()
+            want = verify_instance(f, p, 12, budget=3000).checks
             with monkeypatch.context() as m:
-                m.setattr(oracle, "_INT64_SAFE_MODULUS", 1)
-                assert verify_instance(f, p, 12, budget=3000).to_json_dict() == want
+                m.setattr(oracle, "_INT64_SAFE_MODULUS", 3000)
+                assert verify_instance(f, p, 12, budget=10**5).checks == want
+
+    def test_table_that_does_not_fit_is_a_budget_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(BudgetExceeded, match="a table of 4096 residues"):
+            verify_instance(parse_poly("x^2 - 1"), 2, 12, budget=10**5)
 
     def test_brute_side_never_reads_the_tree(self, monkeypatch):
         def refuse(*args, **kwargs):

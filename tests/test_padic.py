@@ -22,6 +22,7 @@ from igusazeta.padic import (
 
 from corpus import CORPUS
 from igusazeta.cli import parse_poly
+from reference_walk import assert_tree_matches
 
 
 class TestValuation:
@@ -314,6 +315,10 @@ class TestLiftingTree:
                 reps = representative_roots(f, p, k)
                 assert tree.roots(k) == reps, (f, p, k)
                 assert counts[k] == sum(r.count for r in reps), (f, p, k)
+
+    def test_matches_the_plain_walk_past_the_brute_force_budget(self):
+        for f, p in self._instances():
+            assert_tree_matches(f, p)
 
     def test_rejects_precision_beyond_its_walk(self):
         tree = _LiftingTree(IntPoly([-1, 0, 1]), 2, 5)

@@ -1,6 +1,7 @@
-"""Property tests: the pipeline against the brute-force oracle on generated
-inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, and the discriminant
-valuation against its definition."""
+"""Property tests: the pipeline against the brute-force oracle and the
+lifting tree against a plain walk from the definitions, on generated inputs
+f = unit * p^c * prod (a_i + p^j_i x)^e_i, and the discriminant valuation
+against its definition."""
 
 import pytest
 
@@ -16,6 +17,8 @@ from igusazeta.exactpoly import (
 )
 from igusazeta.igusa import discriminant_valuation, stability_threshold
 from igusazeta.oracle import verify_instance
+
+from reference_walk import assert_tree_matches
 
 
 @st.composite
@@ -47,6 +50,12 @@ def test_series_holds_past_the_counts_it_was_built_from(instance):
         kmax = c + 4
     result = verify_instance(f, p, kmax, budget=10**3)
     assert result.all_pass, [x for x in result.checks if not x.passed]
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(products())
+def test_tree_matches_the_plain_walk_past_the_brute_force_budget(instance):
+    assert_tree_matches(*instance)
 
 
 @st.composite
