@@ -18,99 +18,76 @@ import re
 import sys
 
 from . import igusa, oracle, padic
-from .errors import ParseError, VariableError, ZetaError
+from .errors import ArgumentError, ParseError, VariableError, ZetaError
 from .exactpoly import IntPoly
 
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_])|(?P<op>\*\*|[+\-*^])")
-
-
-def _tokenize(s: str) -> list[tuple[str, str, int]]:
-    s = s.replace("−", "-")
-    tokens = []
-    pos = 0
-    n = len(s)
-    while pos < n:
-        if s[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(s, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {s[pos]!r}", pos)
-        if m.lastgroup == "name":
-            if m.group() != "x":
-                raise VariableError(f"unknown variable {m.group()!r}, only x is allowed", pos)
-            tokens.append(("x", "x", pos))
-        elif m.lastgroup == "int":
-            tokens.append(("int", m.group(), pos))
-        else:
-            op = "^" if m.group() == "**" else m.group()
-            tokens.append(("op", op, pos))
-        pos = m.end()
-    return tokens
+# One token per match; whitespace matches no group, so finditer skips it.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<x>x)|(?P<name>[A-Za-z_])|(?P<op>\*\*|[-+*^])|(?P<bad>\S)")
 
 
 def parse_poly(s: str) -> IntPoly:
-    """Parse an integer polynomial in x, e.g. "2*x^2 + 3*x + 1".
+    """Parse an integer polynomial in x, e.g. "2*x^2 + 3*x + 1", by the grammar
 
-    Whitespace is ignored, repeated terms of the same degree are summed, and
-    coefficients may be arbitrarily large.
+        poly = [sign] term {sign term},  term = factor {"*" factor},
+        factor = integer | "x" ["^" integer],  sign = "+" | "-"
+
+    with whitespace between tokens, "**" for "^" and "−" for "-".  So "2x" is
+    an error and an exponent is a nonnegative integer literal.  Terms of the
+    same degree are summed.  A syntax error raises ParseError with its
+    position, and a degree too large to store raises ArgumentError.
     """
-    tokens = _tokenize(s)
+    s = s.replace("−", "-")
+    tokens = []
+    for m in _TOKEN.finditer(s):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "name":
+            raise VariableError(f"unknown variable {text!r}, only x is allowed", pos)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
+        tokens.append((kind, "^" if text == "**" else text, pos))
     if not tokens:
         raise ParseError("empty polynomial", 0)
+    tokens.append(("end", "", len(s)))
+
     coeffs: dict[int, int] = {}
     i = 0
-
-    def term(sign: int) -> None:
-        nonlocal i
-        coeff = sign
-        degree = 0
+    while tokens[i][0] != "end":
+        _, text, pos = tokens[i]
+        if text in ("+", "-"):
+            i += 1
+        elif i:  # only the first term may omit its sign
+            raise ParseError(f"expected '+' or '-', got {text!r}", pos)
+        coeff, degree = -1 if text == "-" else 1, 0
         while True:
-            if i >= len(tokens):
-                raise ParseError("expected a term", len(s))
             kind, text, pos = tokens[i]
             if kind == "int":
                 coeff *= int(text)
-                i += 1
+            elif kind == "x" and tokens[i + 1][1] == "^":
+                i += 2
+                kind, text, pos = tokens[i]
+                if kind != "int":
+                    raise ParseError("expected an integer exponent after '^'", pos)
+                degree += int(text)
             elif kind == "x":
-                i += 1
-                if i < len(tokens) and tokens[i][:2] == ("op", "^"):
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "int":
-                        where = tokens[i][2] if i < len(tokens) else len(s)
-                        raise ParseError("expected an integer exponent after '^'", where)
-                    degree += int(tokens[i][1])
-                    i += 1
-                else:
-                    degree += 1
+                degree += 1
+            elif kind == "end":
+                raise ParseError("expected a term", pos)
             else:
                 raise ParseError(f"unexpected {text!r} in term", pos)
-            if i < len(tokens) and tokens[i][:2] == ("op", "*"):
-                i += 1
-                continue
-            break
+            i += 1
+            if tokens[i][1] != "*":
+                break
+            i += 1
         coeffs[degree] = coeffs.get(degree, 0) + coeff
 
-    sign = 1
-    if tokens[i][:2] == ("op", "+"):
-        i += 1
-    elif tokens[i][:2] == ("op", "-"):
-        sign = -1
-        i += 1
-    term(sign)
-    while i < len(tokens):
-        kind, text, pos = tokens[i]
-        if (kind, text) == ("op", "+"):
-            i += 1
-            term(1)
-        elif (kind, text) == ("op", "-"):
-            i += 1
-            term(-1)
-        else:
-            raise ParseError(f"expected '+' or '-', got {text!r}", pos)
-
-    top = max(coeffs) if coeffs else 0
-    return IntPoly(coeffs.get(d, 0) for d in range(top + 1))
+    top = max(coeffs)
+    try:
+        dense = [0] * (top + 1)
+    except (MemoryError, OverflowError):
+        raise ArgumentError(f"a polynomial of degree {top} does not fit in memory") from None
+    for degree, coeff in coeffs.items():
+        dense[degree] = coeff
+    return IntPoly(dense)
 
 
 def _at_least(low: int, name: str):

@@ -273,13 +273,15 @@ def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
 
 
 def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_divmod(base, m, p)[1]
-    while e:
-        if e & 1:
+    """base^e mod (m, p) for e >= 1: the callers pass p, or (p - 1) // 2 with
+    p odd, since the splitting backend never runs at p = 2.  Left to right over
+    the bits of e, so each multiply is by the reduced base (x for x^p mod f).
+    """
+    base = result = _fp_divmod(base, m, p)[1]
+    for bit in bin(e)[3:]:
+        result = _fp_mulmod(result, result, m, p)
+        if bit == "1":
             result = _fp_mulmod(result, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
     return result
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import igusazeta
 from igusazeta.cli import main, parse_poly
-from igusazeta.errors import ParseError, VariableError
+from igusazeta.errors import ArgumentError, ParseError, VariableError
 from igusazeta.exactpoly import IntPoly
 
 
@@ -63,6 +63,37 @@ class TestParsePoly:
             parse_poly("y^2")
         assert err.value.position == 0
 
+    @pytest.mark.parametrize(
+        "text, cls, message, position",
+        [
+            ("2*x^2 + @", ParseError, "unexpected character '@'", 8),
+            ("y^2", VariableError, "unknown variable 'y', only x is allowed", 0),
+            ("", ParseError, "empty polynomial", 0),
+            ("   ", ParseError, "empty polynomial", 0),
+            ("-", ParseError, "expected a term", 1),
+            ("x^", ParseError, "expected an integer exponent after '^'", 2),
+            ("x^-2", ParseError, "expected an integer exponent after '^'", 2),
+            ("2 + * 3", ParseError, "unexpected '*' in term", 4),
+            ("2x", ParseError, "expected '+' or '-', got 'x'", 1),
+            ("2 3", ParseError, "expected '+' or '-', got '3'", 2),
+            ("x^2^3", ParseError, "expected '+' or '-', got '^'", 3),
+        ],
+    )
+    def test_rejected_input(self, text, cls, message, position):
+        with pytest.raises(cls) as err:
+            parse_poly(text)
+        assert type(err.value) is cls
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_degree_that_does_not_fit(self):
+        # 10^30 exceeds any list index, so nothing is allocated
+        degree = "9" * 30
+        message = f"a polynomial of degree {degree} does not fit in memory"
+        with pytest.raises(ArgumentError) as err:
+            parse_poly(f"x^{degree}")
+        assert str(err.value) == message
+
 
 class TestMain:
     def test_count(self, capsys):
@@ -113,6 +144,13 @@ class TestMain:
         assert "unknown variable" in capsys.readouterr().err
         assert main(["count", "--poly", "y+1", "--prime", "3", "--k", "1"]) == 2
         assert main(["count", "--poly", "x +", "--prime", "3", "--k", "1"]) == 2
+
+    def test_degree_that_does_not_fit(self, capsys):
+        degree = "9" * 30
+        assert main(["zeta", "--poly", f"x^{degree}", "--prime", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: a polynomial of degree {degree} does not fit in memory\n"
 
     def test_usage_error(self, capsys):
         assert main(["count", "--poly", "x"]) == 2

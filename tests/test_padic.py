@@ -182,6 +182,16 @@ class TestSplittingBackend:
             if len(a) < len(m):
                 assert q == [] and r == a
 
+    @pytest.mark.parametrize("p", [3, 1009, 1000003])
+    def test_powmod(self, p):
+        rng = random.Random(p)
+        m = [rng.randrange(p) for _ in range(5)] + [1]
+        for base in ([0, 1], [rng.randrange(p) for _ in range(8)]):
+            power = [1]
+            for e in range(1, 41):
+                power = padic._fp_mulmod(power, base, m, p)
+                assert padic._fp_powmod(base, e, m, p) == power
+
     def test_counter_runs_past_trial_elements_that_do_not_split(self):
         # the Legendre symbols of 430 + a and 554 + a agree for a = 0 .. 25
         p = 1009

@@ -1,13 +1,16 @@
 """Property tests: the pipeline against the brute-force oracle and the
 lifting tree against a plain walk from the definitions, on generated inputs
-f = unit * p^c * prod (a_i + p^j_i x)^e_i, and the discriminant valuation
-against its definition."""
+f = unit * p^c * prod (a_i + p^j_i x)^e_i, the discriminant valuation
+against its definition, and parse_poly against IntPoly.to_text."""
+
+import re
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from igusazeta.cli import parse_poly
 from igusazeta.exactpoly import (
     IntPoly,
     content_and_primitive,
@@ -77,3 +80,16 @@ def discriminant_instances(draw):
 def test_discriminant_valuation_matches_its_definition(instance):
     f, p = instance
     assert discriminant_valuation(f, p) == valuation(discriminant(squarefree_part(f)), p)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-(10**40), 10**40), max_size=13), st.data())
+def test_parse_poly_reads_back_to_text(coeffs, data):
+    f = IntPoly(coeffs)
+    text = f.to_text()
+    assert parse_poly(text) == f
+    # The same tokens with "**" for "^" and random whitespace around each.
+    space = st.sampled_from(["", "", " ", "\t", "  \t"])
+    tokens = ["**" if t == "^" else t for t in re.findall(r"\d+|[-+*^x]", text)]
+    respaced = "".join(data.draw(space) + t for t in tokens) + data.draw(space)
+    assert parse_poly(respaced) == f
