@@ -52,13 +52,24 @@ from .igusa import (
     stability_threshold,
     zeta_function,
 )
-from .oracle import (
-    CheckResult,
-    VerificationReport,
-    brute_count,
-    brute_rep_roots,
-    verify_instance,
-)
 from .cli import parse_poly
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy, which only verification uses, so it is imported
+# on first use of one of its names (PEP 562).
+_ORACLE_NAMES = {
+    "CheckResult",
+    "VerificationReport",
+    "brute_count",
+    "brute_rep_roots",
+    "verify_instance",
+}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,12 +17,19 @@ import os
 import re
 import sys
 
-from . import igusa, oracle, padic
+from . import igusa, padic
 from .errors import ArgumentError, ParseError, VariableError, ZetaError
 from .exactpoly import IntPoly
 
 # One token per match; whitespace matches no group, so finditer skips it.
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<x>x)|(?P<name>[A-Za-z_])|(?P<op>\*\*|[-+*^])|(?P<bad>\S)")
+
+
+def _integer(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts (sys.get_int_max_str_digits)
+        raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
 
 
 def parse_poly(s: str) -> IntPoly:
@@ -33,8 +40,10 @@ def parse_poly(s: str) -> IntPoly:
 
     with whitespace between tokens, "**" for "^" and "−" for "-".  So "2x" is
     an error and an exponent is a nonnegative integer literal.  Terms of the
-    same degree are summed.  A syntax error raises ParseError with its
-    position, and a degree too large to store raises ArgumentError.
+    same degree are summed, and the degree is the largest with a nonzero sum.
+    A syntax error, or a literal longer than Python's int-string digit limit,
+    raises ParseError with its position; a degree too large to store raises
+    ArgumentError.
     """
     s = s.replace("−", "-")
     tokens = []
@@ -61,13 +70,13 @@ def parse_poly(s: str) -> IntPoly:
         while True:
             kind, text, pos = tokens[i]
             if kind == "int":
-                coeff *= int(text)
+                coeff *= _integer(text, pos)
             elif kind == "x" and tokens[i + 1][1] == "^":
                 i += 2
                 kind, text, pos = tokens[i]
                 if kind != "int":
                     raise ParseError("expected an integer exponent after '^'", pos)
-                degree += int(text)
+                degree += _integer(text, pos)
             elif kind == "x":
                 degree += 1
             elif kind == "end":
@@ -80,7 +89,9 @@ def parse_poly(s: str) -> IntPoly:
             i += 1
         coeffs[degree] = coeffs.get(degree, 0) + coeff
 
-    top = max(coeffs)
+    # Terms that cancel, such as 0*x^9 or x^9 - x^9, do not raise the degree.
+    coeffs = {degree: coeff for degree, coeff in coeffs.items() if coeff}
+    top = max(coeffs, default=0)
     try:
         dense = [0] * (top + 1)
     except (MemoryError, OverflowError):
@@ -133,8 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--budget",
         type=int,
-        default=oracle.DEFAULT_BUDGET,
-        help="enumeration budget for p^k (default %(default)s)",
+        help="enumeration budget for p^k (default 10000000)",
     )
     return parser
 
@@ -156,7 +166,10 @@ def _result(args: argparse.Namespace, f: IntPoly) -> tuple[dict, str, int]:
     if args.command == "report":
         rep = igusa.report(f, p)
         return rep.to_json_dict(), rep.describe(), 0
-    result = oracle.verify_instance(f, p, args.kmax, args.budget)
+    from . import oracle  # numpy, which the oracle needs, loads only here
+
+    budget = oracle.DEFAULT_BUDGET if args.budget is None else args.budget
+    result = oracle.verify_instance(f, p, args.kmax, budget)
     return result.to_json_dict(), result.describe(), 0 if result.all_pass else 1
 
 

@@ -45,7 +45,13 @@ class PoleAtZero(ZetaError):
 
 
 class BudgetExceeded(ZetaError):
-    """A brute-force enumeration would exceed its budget, the int64 limit or memory."""
+    """The brute-force oracle refuses an enumeration.
+
+    It is raised before anything is allocated when p^k exceeds the caller's
+    budget or the int64 limit 3037000499, up to which the oracle's int64
+    arithmetic is exact.  It replaces the MemoryError raised when one level
+    of candidate residues, or the roots read from it, does not fit in memory.
+    """
 
 
 class ParseError(ZetaError):

@@ -1,12 +1,16 @@
 """Brute-force ground truth used to verify the whole pipeline.
 
-Everything here works by direct enumeration of all residues mod p^k, so it is
-independent of the lifting recursion and the closed forms it checks.  A
-residue table holds f(x) mod p^K for every x below p^K; since
-(f(x) mod p^K) mod p^k = f(x) mod p^k, the roots mod every p^k with k <= K are
-read off a prefix of it, and verify_instance evaluates each polynomial once,
-at the deepest modulus it checks.  The table is an int64 array, exact since
-_check_budget admits no modulus above _INT64_SAFE_MODULUS.
+The roots of f mod p^k are found by evaluating f, with nothing taken from
+the lifting tree or the closed forms this module checks.  The search is
+exhaustive although it does not evaluate every residue: a root x mod p^k
+reduces to a root x mod p^(k-1), so every root at level k is one of the p
+lifts r + j*p^(k-1) of a root r at level k-1, and testing those candidates
+finds them all.  Level 0 is the single residue 0.  Each level evaluates f by
+int64 Horner steps, exact since _check_budget admits no modulus above
+_INT64_SAFE_MODULUS.  This is the digit-by-digit view of Dwivedi, Mittal and
+Saxena's root counter, but the oracle only enumerates: it compares no
+valuations and shifts no polynomials, so a fault in the tree cannot hide in
+it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -30,8 +35,8 @@ DEFAULT_BUDGET = 10**7
 _INT64_SAFE_MODULUS = 3_037_000_499
 
 
-def _check_budget(p: int, k: int, budget: int) -> int:
-    """p^k, if at most the budget and _INT64_SAFE_MODULUS; else BudgetExceeded."""
+def _check_budget(p: int, k: int, budget: int) -> None:
+    """Raise BudgetExceeded unless p^k is at most the budget and _INT64_SAFE_MODULUS."""
     if p < 2:
         raise ArgumentError("p must be at least 2")
     if k < 0:
@@ -41,49 +46,62 @@ def _check_budget(p: int, k: int, budget: int) -> int:
         raise BudgetExceeded(f"p^k = {m} exceeds the enumeration budget {budget}")
     if m > _INT64_SAFE_MODULUS:
         raise BudgetExceeded(f"p^k = {m} exceeds the int64 limit {_INT64_SAFE_MODULUS}")
-    return m
 
 
 @contextmanager
-def _in_memory(m: int):
+def _in_memory(n: int):
     try:
         yield
     except MemoryError:
-        raise BudgetExceeded(f"a table of {m} residues does not fit in memory") from None
+        raise BudgetExceeded(f"an array of {n} residues does not fit in memory") from None
 
 
-def _residue_table(f: IntPoly, m: int) -> np.ndarray:
-    """Array whose entry x is f(x) mod m, for every x in [0, m)."""
-    with _in_memory(m):
-        xs = np.arange(m, dtype=np.int64)
-        acc = np.zeros(m, dtype=np.int64)
-        for c in reversed(f.coeffs):
-            acc *= xs
-            acc += c % m
-            acc %= m
-        return acc
+def _root_levels(f: IntPoly, p: int, K: int) -> Iterator[np.ndarray]:
+    """The sorted int64 array of roots of f mod p^k, for k = 0, 1, ..., K.
+
+    The caller checks p^K with _check_budget.  Only the previous level is
+    kept while the next is built, and no array is longer than p^K.
+    """
+    roots = np.zeros(1, dtype=np.int64)
+    m = 1
+    yield roots
+    for _ in range(K):
+        step, m = m, m * p
+        n = p * len(roots)
+        with _in_memory(n):
+            # Row j holds the lifts r + j*step, so the flattened array is sorted.
+            xs = (np.arange(0, m, step, dtype=np.int64)[:, None] + roots).ravel()
+            acc = np.zeros_like(xs)
+            for c in reversed(f.coeffs):
+                acc *= xs
+                acc += c % m
+                acc %= m
+            roots = np.compress(acc == 0, xs)
+        del xs, acc  # not held while the caller reads this level
+        yield roots
 
 
-def _roots_below(table: np.ndarray, m: int) -> np.ndarray:
-    # The roots mod m, for m dividing the table's modulus.
-    with _in_memory(m):
-        return np.flatnonzero(table[:m] % m == 0)
-
-
-def _rep_roots(table: np.ndarray, p: int, k: int) -> list[RepRoot]:
-    m = p**k
+def _rep_roots(roots: np.ndarray, p: int, k: int) -> list[RepRoot]:
+    """The decomposition that _decompose builds from the roots mod p^k."""
     reps: list[tuple[int, ...]] = []
-    with _in_memory(m):  # the root list and its grouping allocate too
-        roots = _roots_below(table, m).tolist()
-        if roots:
-            _decompose(roots, p, k, 0, (), reps)
+    with _in_memory(len(roots)):  # the root list and its grouping allocate
+        vals = roots.tolist()
+        if vals:
+            _decompose(vals, p, k, 0, (), reps)
     return sorted((RepRoot(p=p, k=k, digits=d) for d in reps), key=lambda r: r.digits)
 
 
+def _roots_mod(f: IntPoly, p: int, k: int, budget: int) -> np.ndarray:
+    """The roots of f mod p^k, once _check_budget admits p^k."""
+    _check_budget(p, k, budget)
+    for roots in _root_levels(f, p, k):
+        pass
+    return roots
+
+
 def brute_count(f: IntPoly, p: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of roots of f mod p^k by evaluating every residue."""
-    m = _check_budget(p, k, budget)
-    return len(_roots_below(_residue_table(f, m), m))
+    """Number of roots of f mod p^k, by exhaustive enumeration."""
+    return len(_roots_mod(f, p, k, budget))
 
 
 def brute_rep_roots(
@@ -93,8 +111,7 @@ def brute_rep_roots(
     root set, built greedily: a prefix is emitted once all of its extensions
     are roots while the one-digit-shorter prefix has a non-root extension.
     """
-    m = _check_budget(p, k, budget)
-    return _rep_roots(_residue_table(f, m), p, k)
+    return _rep_roots(_roots_mod(f, p, k, budget), p, k)
 
 
 def _decompose(
@@ -178,24 +195,26 @@ def verify_instance(
     """Cross-check the pipeline against brute enumeration for one (f, p).
 
     Compares root counts and representative roots for every k <= kmax that
-    _check_budget admits, read off one residue table per polynomial at the
-    deepest such k, the Poincare series coefficients up to kmax, and the
-    closed-form counts on the stable window.  Failures become report entries,
-    never exceptions.  p is checked first.  A budget below 1 enumerates
-    nothing, so it raises BudgetExceeded.
+    _check_budget admits, the Poincare series coefficients up to kmax, and
+    the closed-form counts on the stable window.  Failures become report
+    entries, never exceptions.  p is checked first.  A budget below 1
+    enumerates nothing, so it raises BudgetExceeded.
 
-    The library side is the report of (f, p) and the one lifting tree it is
-    read from, walked deep enough to answer every precision checked.  With
+    The brute-force side enumerates the root levels of f once, and those of
+    g once more when c > 0, taking each check from the level it needs.  The
+    library side is the report of (f, p) and the one lifting tree it is read
+    from, walked deep enough to answer every precision checked.  With
     f = p^c * g, the representative roots and closed-form counts are those
     of g, read off the tree at precision c + k.
     """
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
     check_prime(p)
-    deepest, m = 0, _check_budget(p, 0, budget)
+    deepest = 0
+    _check_budget(p, 0, budget)
     with suppress(BudgetExceeded):
         while deepest < kmax:
-            m = _check_budget(p, deepest + 1, budget)
+            _check_budget(p, deepest + 1, budget)
             deepest += 1
     checks: list[CheckResult] = []
     c, g = content_and_primitive(f, p)
@@ -203,22 +222,23 @@ def verify_instance(
     k0 = result.stable_precision
     counts = tree.counts()
 
-    table = _residue_table(f, m)
-    for k in range(deepest + 1):
-        expected = len(_roots_below(table, p**k))
-        actual = counts[k]
+    reps: list[str] = []  # the expected representative roots, by k
+    for k, roots in enumerate(_root_levels(f, p, deepest)):
+        expected, actual = len(roots), counts[k]
         checks.append(
             CheckResult(f"count k={k}", str(expected), str(actual), expected == actual)
         )
-
+        if c == 0:
+            reps.append(_fmt_reps(_rep_roots(roots, p, k)))
     if c > 0:
-        del table  # keep one table alive at a time
-        table = _residue_table(g, m)
+        reps = [
+            _fmt_reps(_rep_roots(roots, p, k))
+            for k, roots in enumerate(_root_levels(g, p, deepest))
+        ]
     for k in range(1, deepest + 1):
-        expected = _fmt_reps(_rep_roots(table, p, k))
         actual = _fmt_reps(tree.roots(c + k))
         checks.append(
-            CheckResult(f"rep-roots k={k}", expected, actual, expected == actual)
+            CheckResult(f"rep-roots k={k}", reps[k], actual, reps[k] == actual)
         )
 
     series = result.poincare.series(kmax)

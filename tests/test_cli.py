@@ -94,6 +94,23 @@ class TestParsePoly:
             parse_poly(f"x^{degree}")
         assert str(err.value) == message
 
+    def test_terms_that_cancel_do_not_raise_the_degree(self):
+        degree = "9" * 30
+        assert parse_poly(f"0*x^{degree} + x") == IntPoly([0, 1])
+        assert parse_poly(f"x^{degree} + 2 - x^{degree}") == IntPoly([2])
+        assert parse_poly(f"x^{degree} - x^{degree}").is_zero
+
+    @pytest.mark.parametrize("text, position", [("9" * 4301 + "*x", 0), ("x^" + "1" * 4301, 2)])
+    def test_literal_past_the_int_string_limit(self, text, position):
+        # Python refuses int() of more than sys.get_int_max_str_digits()
+        # digits, 4300 by default; the parser reports it as a syntax error.
+        with pytest.raises(ParseError) as err:
+            parse_poly("x + " + text)
+        assert err.value.position == position + 4
+        assert str(err.value) == (
+            f"integer literal of 4301 digits is too long (at position {position + 4})"
+        )
+
 
 class TestMain:
     def test_count(self, capsys):
@@ -151,6 +168,16 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: a polynomial of degree {degree} does not fit in memory\n"
+
+    def test_literal_past_the_int_string_limit(self, capsys):
+        assert main(["zeta", "--poly", "9" * 4301 + "*x", "--prime", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: integer literal of 4301 digits is too long (at position 0)\n"
+
+    def test_terms_that_cancel_do_not_raise_the_degree(self, capsys):
+        assert main(["zeta", "--poly", "0*x^99999999999 + x", "--prime", "7"]) == 0
+        assert capsys.readouterr().out == "(6) / (-t + 7)\n"
 
     def test_usage_error(self, capsys):
         assert main(["count", "--poly", "x"]) == 2
@@ -231,23 +258,32 @@ class TestMain:
     def test_verify_table_that_does_not_fit(self, capsys, monkeypatch):
         import numpy
 
-        def refuse(*args, **kwargs):
-            raise MemoryError
+        zeros_like = numpy.zeros_like
 
-        # up to the int64 limit: a table of 2^31 residues, refused by numpy
-        monkeypatch.setattr(numpy, "arange", refuse)
-        argv = ["verify", "--poly", "x", "--prime", "2", "--kmax", "40", "--budget", "10000000000"]
+        def refuse(a, *args, **kwargs):
+            if a.size >= 2**20:
+                raise MemoryError
+            return zeros_like(a, *args, **kwargs)
+
+        # every residue is a root of 2^40 mod 2^k up to the int64 limit, so
+        # level 20 has 2^20 candidates, refused as numpy would refuse them
+        monkeypatch.setattr(numpy, "zeros_like", refuse)
+        argv = ["verify", "--poly", "1099511627776", "--prime", "2", "--kmax", "40",
+                "--budget", "10000000000"]
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: a table of 2147483648 residues does not fit in memory\n"
+        assert err == "error: an array of 1048576 residues does not fit in memory\n"
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         import igusazeta.oracle as oracle
 
-        table = oracle._residue_table
-        # every residue's value off by one, so f's roots are misplaced
-        monkeypatch.setattr(oracle, "_residue_table", lambda f, m: table(f, m) + 1)
+        levels = oracle._root_levels
+
+        # every level loses its smallest root, so f's roots are misplaced
+        monkeypatch.setattr(
+            oracle, "_root_levels", lambda f, p, K: (r[1:] for r in levels(f, p, K))
+        )
         code = main(["verify", "--poly", "x", "--prime", "3", "--kmax", "3"])
         assert code == 1
         out = capsys.readouterr().out
@@ -344,3 +380,21 @@ def test_closed_pipe_ends_quietly(fmt):
     assert first
     assert code == 0
     assert err == ""
+
+
+def test_numpy_loads_only_for_verify():
+    # report, zeta and friends never enumerate, so they skip numpy's import
+    # cost; verify loads it with the oracle.
+    code = (
+        "import sys, igusazeta\n"
+        "from igusazeta.cli import main\n"
+        "main(['zeta', '--poly', 'x^2 - 1', '--prime', '2'])\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert igusazeta.brute_count(igusazeta.parse_poly('x^2 - 1'), 2, 3) == 4\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(igusazeta.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

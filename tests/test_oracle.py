@@ -49,17 +49,37 @@ class TestBruteCount:
             brute_rep_roots(IntPoly([0, 1]), 3, 20, budget=10**10)
 
 
-@pytest.mark.parametrize("step", ["arange", "flatnonzero"], ids=["build", "read"])
+def _refusing(orig, n):
+    """orig, except that it raises MemoryError, as numpy does when memory
+    runs out, when an array argument holds n or more entries."""
+
+    def call(*args, **kwargs):
+        if max((a.size for a in args if isinstance(a, np.ndarray)), default=0) >= n:
+            raise MemoryError
+        return orig(*args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("step", ["zeros_like", "compress"], ids=["build", "read"])
 @pytest.mark.parametrize("call", [brute_count, brute_rep_roots])
 def test_table_that_does_not_fit_is_a_budget_error(monkeypatch, call, step):
-    # numpy raises MemoryError when it cannot allocate the table or the
-    # temporaries of a read
-    def refuse(*args, **kwargs):
+    # Every residue is a root of 243 mod 3^k for k <= 5, so level k has 3^k
+    # candidates.  Level 5 cannot allocate its Horner accumulator (build) or
+    # the roots it selects (read); the error names that level's size.
+    monkeypatch.setattr(np, step, _refusing(getattr(np, step), 243))
+    with pytest.raises(BudgetExceeded, match="an array of 243 residues does not fit"):
+        call(IntPoly([243]), 3, 5)
+
+
+def test_root_list_that_does_not_fit_is_a_budget_error(monkeypatch):
+    # the representative roots group the level's roots as Python ints
+    def refuse(*args):
         raise MemoryError
 
-    monkeypatch.setattr(np, step, refuse)
-    with pytest.raises(BudgetExceeded, match="a table of 243 residues does not fit"):
-        call(IntPoly([-2, 0, 1]), 3, 5)
+    monkeypatch.setattr(oracle, "_decompose", refuse)
+    with pytest.raises(BudgetExceeded, match="an array of 81 residues does not fit"):
+        brute_rep_roots(IntPoly([81]), 3, 4)
 
 
 @pytest.mark.parametrize("p", [1, 0, -1, -2])
@@ -221,9 +241,11 @@ def _deepest(p):
 
 
 class TestResidueTable:
+    """verify_instance's one enumeration of the root levels per polynomial."""
+
     def test_checks_match_the_per_precision_oracle(self):
-        # verify_instance reads every precision off one table at the deepest
-        # modulus; each check must agree with enumerating mod p^k on its own.
+        # verify_instance reads every precision off one pass over the root
+        # levels; each check must agree with enumerating mod p^k on its own.
         # Budget 10^5 stops p = 5 and 7 before kmax, kmax 12 stops p = 2.
         for text, p in CORPUS + _CONTENT_CASES:
             f = parse_poly(text)
@@ -246,24 +268,24 @@ class TestResidueTable:
             assert seen["rep-roots"] == list(range(1, deepest + 1)), (text, p)
 
     def test_one_table_per_polynomial(self, monkeypatch):
-        # f's table serves the count checks; the rep-root checks share it
-        # unless the content is positive, when they need g's.
-        built = []
-        table = oracle._residue_table
+        # f's root levels serve the count checks; the rep-root checks share
+        # them unless the content is positive, when they need g's.
+        enumerated = []
+        levels = oracle._root_levels
 
-        def counting_table(f, m):
-            built.append((f, m))
-            return table(f, m)
+        def counting_levels(f, p, K):
+            enumerated.append((f, K))
+            return levels(f, p, K)
 
-        monkeypatch.setattr(oracle, "_residue_table", counting_table)
+        monkeypatch.setattr(oracle, "_root_levels", counting_levels)
         for text, p in CORPUS + _CONTENT_CASES:
             f = parse_poly(text)
             c, g = content_and_primitive(f, p)
-            built.clear()
+            enumerated.clear()
             verify_instance(f, p, 12, budget=10**5)
-            m = p ** _deepest(p)
-            want = [(f, m), (g, m)] if c > 0 else [(f, m)]
-            assert built == want, (text, p, built)
+            K = _deepest(p)
+            want = [(f, K), (g, K)] if c > 0 else [(f, K)]
+            assert enumerated == want, (text, p, enumerated)
 
     def test_int64_limit_stops_the_checks_as_the_budget_does(self, monkeypatch):
         # a budget above the limit checks every k with p^k <= the limit
@@ -275,11 +297,10 @@ class TestResidueTable:
                 assert verify_instance(f, p, 12, budget=10**5).checks == want
 
     def test_table_that_does_not_fit_is_a_budget_error(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise MemoryError
-
-        monkeypatch.setattr(np, "arange", refuse)
-        with pytest.raises(BudgetExceeded, match="a table of 4096 residues"):
+        # x^2 - 1 has 4 roots mod 2^k for k >= 3, so each level from 4 on
+        # has 8 candidates; refusing 8 stops verify_instance at level 4.
+        monkeypatch.setattr(np, "zeros_like", _refusing(np.zeros_like, 8))
+        with pytest.raises(BudgetExceeded, match="an array of 8 residues"):
             verify_instance(parse_poly("x^2 - 1"), 2, 12, budget=10**5)
 
     def test_brute_side_never_reads_the_tree(self, monkeypatch):
@@ -301,5 +322,5 @@ class TestResidueTable:
         f = parse_poly("x^3 - x^2 - x + 1")  # (x - 1)^2 (x + 1)
         assert brute_count(f, 3, 4) == 10  # 1 mod 9, and -1 mod 81
         assert _fmt_reps(brute_rep_roots(f, 3, 4)) == "1,0|2,2,2,2"
-        table = oracle._residue_table(f, 81)
-        assert table.tolist() == [f(x) % 81 for x in range(81)]
+        levels = [roots.tolist() for roots in oracle._root_levels(f, 3, 4)]
+        assert levels == [[x for x in range(3**k) if f(x) % 3**k == 0] for k in range(5)]
