@@ -181,7 +181,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         f = parse_poly(args.poly)
-        data, text, code = _result(args, f)
+        # Outputs are exact: lift Python's int-string limit, which parse_poly keeps.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            data, text, code = _result(args, f)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

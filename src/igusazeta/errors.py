@@ -25,7 +25,7 @@ class IdenticallyZeroModP(ZetaError):
 
 
 class InconsistentLengths(ZetaError):
-    """Observed representative-root lengths violate the ceiling law.
+    """A branch's chain in the lifting tree, or the root counts, break the ceiling law.
 
     This signals an internal bug rather than bad input; it is raised
     instead of being silently patched over.

@@ -2,20 +2,19 @@
 and the Igusa local zeta function of an integer univariate polynomial at a prime.
 
 The computation never factors anything over the p-adic integers.  Each p-adic
-root branch of f is observed indirectly, through the lengths of its
-representative roots at a window of precisions beyond the stability threshold;
-the multiplicity and value valuation of the branch are read off from how fast
-those lengths grow.
+root branch of f is read off the lifting tree: past the stability threshold
+it is a chain of single children, and the used precision grows by the same
+step at every level of the chain.  That step is the branch's multiplicity,
+and the chain's top record gives its value valuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import ArgumentError, InconsistentLengths, RegimeViolation
 from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
-from .padic import RepRoot, _LiftingTree, _squarefree_mod_p, check_prime, count_roots, valuation
+from .padic import _LiftingTree, _squarefree_mod_p, check_prime, count_roots, valuation
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
 
@@ -98,57 +97,45 @@ def extract_branches(f: IntPoly, p: int) -> list[BranchParams]:
     return list(report(f, p).branches)
 
 
-def _extract_branches(
-    d: int, k0: int, reps_at: Callable[[int], list[RepRoot]]
-) -> list[BranchParams]:
-    """The branches of a degree-d primitive part, read off its maximal
-    representative roots reps_at(k) for k0 <= k < k0 + 2d + 2.  A branch's
-    first two length changes fix e and nu; its length must then follow
-    BranchParams.prefix_length at every k of that window.
+def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[BranchParams]:
+    """The branches of g, where f = p^c * g and g has degree d, read off the
+    lifting tree of f: one per maximal representative root at precision
+    c + k0, sorted by prefix.  Below such a node at depth D, the chain of
+    single children to the tree's limit has used precisions U_D, U_(D+1), ...
+    that grow by one step e >= 1, the multiplicity.  Then nu = U_D - c - e*D
+    must be >= 0, and k0 must lie on the chain: U_D - (c + k0) < e.
     """
-    window = range(k0, k0 + 2 * d + 2)
-    reps = {k: reps_at(k) for k in window}
-    n = len(reps[k0])
-    for k in window:
-        if len(reps[k]) != n:
-            raise InconsistentLengths(
-                f"branch count changed from {n} to {len(reps[k])} at precision {k}"
-            )
+    kids: list[list[int]] = [[] for _ in tree.nodes]
+    for n, (parent, *_) in enumerate(tree.nodes[1:], 1):
+        kids[parent].append(n)
     branches = []
-    for base in reps[k0]:
-        prefix = base.digits
-        lengths: dict[int, int] = {}
-        for k in window:
-            hits = [r for r in reps[k] if r.digits[: len(prefix)] == prefix]
-            if len(hits) != 1:
-                raise InconsistentLengths(
-                    f"prefix {prefix} matched {len(hits)} roots at precision {k}"
-                )
-            lengths[k] = hits[0].length
-        observed = ", ".join(f"{k} -> {length}" for k, length in lengths.items())
-        steps = [k for k in window[1:] if lengths[k] != lengths[k - 1]]
-        if len(steps) < 2:
+    for n in tree._at(c + k0):
+        prefix = tree._digits(n)
+        _, _, depth, top = tree.nodes[n]
+        used = [top]
+        while used[-1] < tree.k and len(kids[n]) == 1:
+            n = kids[n][0]
+            used.append(tree.nodes[n][3])
+        observed = f"prefix {prefix}, used precisions {', '.join(map(str, used))}"
+        if used[-1] < tree.k:
             raise InconsistentLengths(
-                f"prefix {prefix}: fewer than two length changes in the window"
-                f" (precision -> length: {observed})"
+                f"{observed}: a chain node has {len(kids[n])} children below {tree.k}"
             )
-        e = steps[1] - steps[0]
-        nu = steps[1] - 1 - e * lengths[steps[1] - 1]
+        if len(used) < 2:
+            raise InconsistentLengths(f"{observed}: fewer than two records on the chain")
+        e = used[1] - used[0]
+        if any(b - a != e for a, b in zip(used, used[1:])):
+            raise InconsistentLengths(f"{observed}: the steps are not one constant e")
+        if top - (c + k0) >= e:
+            raise InconsistentLengths(f"{observed}: precision {c + k0} is not on the chain")
+        nu = top - c - e * depth
         if nu < 0:
-            raise InconsistentLengths(f"prefix {prefix}: negative branch valuation {nu}")
-        k_align = k0 + (nu - k0) % e
-        b = BranchParams(multiplicity=e, valuation=nu, k_align=k_align, prefix=prefix)
-        for k in window:
-            if lengths[k] != b.prefix_length(k):
-                raise InconsistentLengths(
-                    f"prefix {prefix}: length {lengths[k]} at precision {k}, but the"
-                    f" ceiling law with e = {e}, nu = {nu} gives {b.prefix_length(k)}"
-                    f" (precision -> length: {observed})"
-                )
-        branches.append(b)
-    if sum(b.multiplicity for b in branches) > d:
-        raise InconsistentLengths("total branch multiplicity exceeds the degree")
-    return branches
+            raise InconsistentLengths(f"{observed}: negative branch valuation {nu}")
+        branches.append(BranchParams(e, nu, k0 + (nu - k0) % e, prefix))
+    total = sum(b.multiplicity for b in branches)
+    if total > d:
+        raise InconsistentLengths(f"total branch multiplicity {total} exceeds the degree {d}")
+    return sorted(branches, key=lambda b: b.prefix)
 
 
 def closed_form_count(
@@ -174,8 +161,10 @@ def _run_pipeline(
     f: IntPoly, p: int, kmax: int | None = None
 ) -> tuple[ZetaReport, _LiftingTree]:
     """The report of f = p^c * g and the one lifting tree of f it is read
-    from: the branches of g at precisions c + k of the window past k0, and
-    P and Z from the root counts below T = c + k0 + 2d (d the degree of g).
+    from: the branches of g from the chains of the tree's maximal
+    representative roots at precision c + k0, each checked down to the
+    tree's limit, and P and Z from the root counts below T = c + k0 + 2d
+    (d the degree of g).
     For a constant g, T = c + 2: then P = 1 + t + ... + t^c, so den0 * P has
     degree c + 1 below T.  The tree is walked to T + 1, or with kmax to
     max(c + kmax, T + 2): every precision verify_instance checks.
@@ -190,7 +179,7 @@ def _run_pipeline(
         top = c + k0 + 2 * g.degree
     tree = _LiftingTree(f, p, top + 1 if kmax is None else max(c + kmax, top + 2))
     if k0 is not None:
-        branches = tuple(_extract_branches(g.degree, k0, lambda k: tree.roots(c + k)))
+        branches = tuple(_extract_branches(tree, c, g.degree, k0))
     poincare, zeta = _poincare_and_zeta(
         p, tree.counts(), {b.multiplicity for b in branches}, top
     )

@@ -175,6 +175,29 @@ class TestMain:
         assert out == ""
         assert err == "error: integer literal of 4301 digits is too long (at position 0)\n"
 
+    def test_count_past_the_int_string_limit(self, capsys):
+        # x^2 has 2^15000 roots mod 2^30000: 4516 digits
+        limit = sys.get_int_max_str_digits()
+        assert main(["count", "--poly", "x^2", "--prime", "2", "--k", "30000"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{2**15000}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_report_past_the_int_string_limit(self, capsys):
+        # Each literal converts, but their product has 6000 digits.
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * 3000
+        assert main(["report", "--poly", f"{nines}*{nines}*x", "--prime", "2"]) == 0
+        assert capsys.readouterr().out.startswith(f"polynomial: {'9' * 2999}8{'0' * 2999}1*x\n")
+        assert sys.get_int_max_str_digits() == limit
+        # The limit comes back when the command fails, too.
+        assert main(["report", "--poly", f"{nines}*{nines}*x", "--prime", "4"]) == 3
+        assert sys.get_int_max_str_digits() == limit
+
     def test_terms_that_cancel_do_not_raise_the_degree(self, capsys):
         assert main(["zeta", "--poly", "0*x^99999999999 + x", "--prime", "7"]) == 0
         assert capsys.readouterr().out == "(6) / (-t + 7)\n"

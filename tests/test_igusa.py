@@ -26,7 +26,7 @@ from igusazeta.igusa import (
     zeta_function,
 )
 from igusazeta.oracle import verify_instance
-from igusazeta.padic import RepRoot, count_roots, representative_roots
+from igusazeta.padic import _LiftingTree, count_roots, representative_roots
 from igusazeta.ratfun import RationalFunction
 
 from corpus import CORPUS
@@ -186,90 +186,115 @@ class TestExtractBranches:
         assert extract_branches(f, p) == extract_branches(g, p)
 
 
-def _fake_branches(*length_rows):
-    """reps_at for a fabricated degree-2 window at p = 2 from k0 = 7: one
-    branch per row, with prefix (i, 1, 1, ...) of the row's length at each
-    of the precisions 7..12."""
+class _FakeTree(_LiftingTree):
+    """Fabricated node records (parent, digit, depth, used) at p = 2, walked
+    to precision 12, for a degree-2 primitive part with c = 0 and k0 = 7.
+    Each row (prefix, used) is one branch: the node at the end of prefix is
+    a maximal representative root at precision 7, and below it hangs a chain
+    of digit-1 children.  The row's used precisions run from that node down.
+    """
 
-    def reps_at(k):
-        return [
-            RepRoot(p=2, k=k, digits=(i,) + (1,) * (row[k - 7] - 1))
-            for i, row in enumerate(length_rows)
-        ]
+    def __init__(self, *rows):
+        self.p, self.k, self.nodes, self.tops = 2, 12, [(-1, 0, 0, 0)], []
+        for prefix, used in rows:
+            parent = 0
+            for depth, digit in enumerate(prefix, 1):
+                self.nodes.append((parent, digit, depth, used[0]))
+                parent = len(self.nodes) - 1
+            self.tops.append(parent)
+            for depth, u in enumerate(used[1:], len(prefix) + 1):
+                self.nodes.append((len(self.nodes) - 1, 1, depth, u))
 
-    return reps_at
+    def _at(self, k):
+        assert k == 7
+        return self.tops
+
+
+def _branches_of(tree):
+    return _extract_branches(tree, 0, 2, 7)
 
 
 class TestInconsistentLengths:
     def test_fabricated_length_sequence_is_rejected(self):
-        def fake_reps(k):
-            # a branch whose length never grows violates the ceiling law
-            return [RepRoot(p=2, k=k, digits=(1, 1))]
-
-        with pytest.raises(InconsistentLengths, match="fewer than two"):
-            _extract_branches(2, 7, fake_reps)
+        # a branch whose length never grows: its chain has only its top record
+        with pytest.raises(InconsistentLengths, match="used precisions 12: fewer than two"):
+            _branches_of(_FakeTree(((1, 1), (12,))))
 
     def test_changing_branch_count_is_rejected(self):
-        def fake_reps(k):
-            digits = tuple([1] * (k - 1))
-            reps = [RepRoot(p=2, k=k, digits=digits)]
-            if k % 2:
-                reps.append(RepRoot(p=2, k=k, digits=(0,) + digits[1:]))
-            return reps
-
-        with pytest.raises(InconsistentLengths, match="branch count changed"):
-            _extract_branches(2, 7, fake_reps)
+        # the chain splits in two at depth 4, below the top at depth 3
+        tree = _FakeTree(((1, 1, 1), (7, 9, 11, 13)))
+        tree.nodes.append((4, 0, 5, 11))
+        with pytest.raises(InconsistentLengths, match="used precisions 7, 9: a chain node has 2"):
+            _branches_of(tree)
 
     def test_true_lengths_are_accepted(self):
-        # ceil((k - 1) / 2) at 7..12: e = 2, nu = 1
-        (b,) = _extract_branches(2, 7, _fake_branches([3, 4, 4, 5, 5, 6]))
+        # used 7, 9, 11, 13 from depth 3: e = 2, nu = 7 - 2*3 = 1
+        (b,) = _branches_of(_FakeTree(((0, 1, 1), (7, 9, 11, 13))))
         assert (b.multiplicity, b.valuation, b.k_align, b.prefix) == (2, 1, 7, (0, 1, 1))
 
-    def test_single_jump_by_two_is_rejected(self):
-        with pytest.raises(InconsistentLengths, match="fewer than two") as err:
-            _extract_branches(2, 7, _fake_branches([1, 1, 1, 3, 3, 3]))
-        assert "9 -> 1, 10 -> 3" in str(err.value)
+    def test_branches_are_sorted_by_prefix(self):
+        tree = _FakeTree(((1, 1, 1), (7, 9, 11, 13)), ((0, 1, 1), (7, 9, 11, 13)))
+        assert [b.prefix for b in _extract_branches(tree, 0, 4, 7)] == [(0, 1, 1), (1, 1, 1)]
 
     @pytest.mark.parametrize(
-        "lengths, k, observed, expected",
+        "used",
         [
-            # changes at 8, 10, 11: e = 2 and nu = 1 from the first two
-            ([3, 4, 4, 5, 6, 6], 11, 6, 5),
-            # e = 2, nu = 1 until the length stops growing at 12
-            ([3, 4, 4, 5, 5, 5], 12, 5, 6),
+            # steps 2, 1, 2
+            (7, 9, 10, 12),
+            # e = 2 until the last step
+            (7, 9, 11, 12),
         ],
         ids=["unequal_spacing", "breaks_after_correct_start"],
     )
-    def test_ceiling_law_violation_is_rejected(self, lengths, k, observed, expected):
+    def test_ceiling_law_violation_is_rejected(self, used):
         with pytest.raises(InconsistentLengths) as err:
-            _extract_branches(2, 7, _fake_branches(lengths))
+            _branches_of(_FakeTree(((0, 1, 1), used)))
         message = str(err.value)
-        assert f"length {observed} at precision {k}" in message
-        assert f"gives {expected}" in message
+        assert f"prefix (0, 1, 1), used precisions {', '.join(map(str, used))}" in message
+        assert "not one constant e" in message
+
+    def test_threshold_before_the_chain_is_rejected(self):
+        # e = 2, but the top's used precision 9 is 2 past k0 = 7: the length
+        # at 7 would be 1 below the top's depth by the ceiling law
+        with pytest.raises(InconsistentLengths, match="precision 7 is not on the chain"):
+            _branches_of(_FakeTree(((0, 1), (9, 11, 13))))
 
     def test_negative_valuation_is_rejected(self):
-        # e = 2 with length 5 at the aligned precision 9: nu = 9 - 10 = -1
+        # e = 2 with used 7 at depth 4: nu = 7 - 8 = -1
         with pytest.raises(InconsistentLengths, match="negative"):
-            _extract_branches(2, 7, _fake_branches([4, 5, 5, 6, 6, 7]))
+            _branches_of(_FakeTree(((1, 1, 1, 1), (7, 9, 11, 13))))
 
     def test_prefix_matching_two_roots_is_rejected(self):
-        def fake_reps(k):
-            return [RepRoot(p=2, k=k, digits=(1,)), RepRoot(p=2, k=k, digits=(1, 0))]
-
-        with pytest.raises(InconsistentLengths, match="matched 2 roots"):
-            _extract_branches(2, 7, fake_reps)
+        # the node at precision 7 has two children
+        tree = _FakeTree(((1,), (7, 8)))
+        tree.nodes.append((1, 0, 2, 8))
+        with pytest.raises(InconsistentLengths, match="used precisions 7: a chain node has 2"):
+            _branches_of(tree)
 
     def test_prefix_matching_no_root_is_rejected(self):
-        def fake_reps(k):
-            return [RepRoot(p=2, k=k, digits=(1,) if k == 7 else (0,))]
+        # the node at precision 7 has no child, though it is not covered at 12
+        with pytest.raises(InconsistentLengths, match="has 0 children below 12"):
+            _branches_of(_FakeTree(((1,), (7,))))
 
-        with pytest.raises(InconsistentLengths, match="matched 0 roots at precision 8"):
-            _extract_branches(2, 7, fake_reps)
+    def test_chain_that_dies_before_the_walks_limit_is_rejected(self):
+        # x^2 - 1 at 2 (k0 = 7): the chain of prefix 1,0,0,0,0,0 has used
+        # precisions 7..12; moving its last record to the root ends it at 11.
+        tree = _LiftingTree(X2_MINUS_1, 2, 12)
+        assert _branches_of(tree) == extract_branches(X2_MINUS_1, 2)
+        _, digit, depth, used = tree.nodes[-1]
+        assert (depth, used) == (11, 12)
+        tree.nodes[-1] = (0, digit, depth, used)
+        with pytest.raises(InconsistentLengths) as err:
+            _branches_of(tree)
+        assert str(err.value) == (
+            "prefix (1, 0, 0, 0, 0, 0), used precisions 7, 8, 9, 10, 11:"
+            " a chain node has 0 children below 12"
+        )
 
     def test_multiplicity_above_degree_is_rejected(self):
-        # ceil((k - 1) / 3) at 7..12: one lawful branch of multiplicity 3 > 2
-        with pytest.raises(InconsistentLengths, match="exceeds the degree"):
-            _extract_branches(2, 7, _fake_branches([2, 3, 3, 3, 4, 4]))
+        # used 7, 10, 13 from depth 2: one lawful branch with e = 3 > 2
+        with pytest.raises(InconsistentLengths, match="multiplicity 3 exceeds the degree 2"):
+            _branches_of(_FakeTree(((0, 1), (7, 10, 13))))
 
 
 class TestRootCount:

@@ -1,7 +1,8 @@
-"""Property tests: the pipeline against the brute-force oracle and the
-lifting tree against a plain walk from the definitions, on generated inputs
-f = unit * p^c * prod (a_i + p^j_i x)^e_i, the discriminant valuation
-against its definition, and parse_poly against IntPoly.to_text."""
+"""Property tests: the pipeline against the brute-force oracle, the lifting
+tree against a plain walk from the definitions and the branches against a
+deeper walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i,
+the discriminant valuation against its definition, and parse_poly against
+IntPoly.to_text."""
 
 import re
 
@@ -18,7 +19,7 @@ from igusazeta.exactpoly import (
     squarefree_part,
     valuation,
 )
-from igusazeta.igusa import discriminant_valuation, stability_threshold
+from igusazeta.igusa import _run_pipeline, discriminant_valuation, stability_threshold
 from igusazeta.oracle import verify_instance
 
 from reference_walk import assert_tree_matches
@@ -59,6 +60,15 @@ def test_series_holds_past_the_counts_it_was_built_from(instance):
 @given(products())
 def test_tree_matches_the_plain_walk_past_the_brute_force_budget(instance):
     assert_tree_matches(*instance)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(products(), st.integers(0, 30))
+def test_branches_do_not_depend_on_walk_depth(instance, kmax):
+    # A verification walks the tree deeper than a report, and every chain
+    # is checked down to the tree's limit, not only near k0.
+    f, p = instance
+    assert _run_pipeline(f, p)[0].branches == _run_pipeline(f, p, kmax)[0].branches
 
 
 @st.composite
