@@ -201,10 +201,13 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     Two backends share this contract, both deterministic: an exhaustive scan
     (for p = 2 and every p below DEFAULT_SCAN_THRESHOLD) and gcd with x^p - x
     followed by equal-degree splitting for large p.  The splitting backend
-    counts its trial elements a = 0, 1, 2, ... rather than drawing them, and
-    any p consecutive ones split a product of distinct linear factors, so
-    each split ends within p trials.  Both backends take a prime p only:
-    any other p raises ArgumentError.
+    computes x^p mod f, and the powers that split, with packed products: each
+    residue mod f is one int with a fixed-width slot per coefficient, so a
+    product is one big-int multiply.  It counts its trial elements
+    a = 0, 1, 2, ... rather than drawing them, and any p consecutive ones
+    split a product of distinct linear factors, so each split ends within p
+    trials.  Both backends take a prime p only: any other p raises
+    ArgumentError.
     """
     check_prime(p)
     fp = _reduce_mod_p(f, p)
@@ -260,29 +263,55 @@ def _fp_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]
     return _fp_trim(q), _fp_trim([c % p for c in r[:dm]])
 
 
-def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_divmod(out, m, p)[1]
-
-
 def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """base^e mod (m, p) for e >= 1: the callers pass p, or (p - 1) // 2 with
-    p odd, since the splitting backend never runs at p = 2.  Left to right over
-    the bits of e, so each multiply is by the reduced base (x for x^p mod f).
+    """base^e mod (m, p) for e >= 1 and a monic m: the callers pass p, or
+    (p - 1) // 2 with p odd, since the splitting backend never runs at p = 2.
+    Left to right over the bits of e, so each multiply is by the reduced base
+    (x for x^p mod f).
+
+    A residue is packed into one int, a slot of w bytes per coefficient
+    (Kronecker substitution), so a product is one big-int multiply.  The
+    product's slots from n = deg m up are reduced mod p and folded back as
+    multiples of the rows x^(n + i) mod m, built once per call; the sum is
+    then unpacked, reduced mod p and packed again.  No slot carries into the
+    next: a product slot is a sum of at most n terms below p^2, and the rows
+    add at most n - 1 more such terms, so every slot stays below
+    2n p^2 <= 2^(8w).
     """
-    base = result = _fp_divmod(base, m, p)[1]
+    n = len(m) - 1
+    if n == 0:
+        return []
+    w = (2 * p.bit_length() + (2 * n).bit_length() + 7) // 8
+    low = 8 * w * n
+    mask = (1 << low) - 1
+
+    def pack(a: list[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+
+    def unpack(x: int, k: int) -> list[int]:
+        b = x.to_bytes(k * w, "little")
+        return [int.from_bytes(b[i : i + w], "little") % p for i in range(0, k * w, w)]
+
+    row = [-c % p for c in m[:n]]
+    rows = []
+    for _ in range(n - 1):
+        rows.append(pack(row))
+        top = row[-1]
+        row = [(c - top * mc) % p for c, mc in zip([0] + row[:-1], m)]
+
+    def mulmod(x: int, y: int) -> int:
+        prod = x * y
+        acc = prod & mask
+        for h, r in zip(unpack(prod >> low, n - 1), rows):
+            acc += h * r
+        return pack(unpack(acc, n))
+
+    b = result = pack(_fp_divmod(base, m, p)[1])
     for bit in bin(e)[3:]:
-        result = _fp_mulmod(result, result, m, p)
+        result = mulmod(result, result)
         if bit == "1":
-            result = _fp_mulmod(result, base, m, p)
-    return result
+            result = mulmod(result, b)
+    return _fp_trim(unpack(result, n))
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -306,9 +335,11 @@ def _squarefree_mod_p(f: IntPoly, p: int) -> bool:
 
 
 def _roots_by_splitting(fp: list[int], p: int) -> list[int]:
-    f = _fp_monic(fp, p)
-    xp = _fp_powmod([0, 1], p, f, p)
-    lin = _fp_gcd(_fp_sub(xp, [0, 1], p), f, p)
+    f = lin = _fp_monic(fp, p)
+    if len(f) != 2:
+        # a linear f divides x^p - x, so it needs no x^p mod f
+        xp = _fp_powmod([0, 1], p, f, p)
+        lin = _fp_gcd(_fp_sub(xp, [0, 1], p), f, p)
     roots: list[int] = []
     stack = [lin] if len(lin) > 1 else []
     # One counter of trial elements runs across the whole stack: a value that

@@ -169,6 +169,23 @@ def _fp_mul(a, b, p):
     return padic._fp_trim(out)
 
 
+def fp_powmod_schoolbook(base, e, m, p):
+    """base^e mod (m, p) by right-to-left square-and-multiply, each step a
+    schoolbook product reduced by padic._fp_divmod."""
+    result = padic._fp_divmod([1], m, p)[1]
+    square = padic._fp_divmod(base, m, p)[1]
+    while e:
+        if e & 1:
+            result = padic._fp_divmod(_fp_mul(result, square, p), m, p)[1]
+        square = padic._fp_divmod(_fp_mul(square, square, p), m, p)[1]
+        e >>= 1
+    return result
+
+
+# 2^61 - 1 and 2^127 - 1 need packed slots wider than 8 bytes.
+LARGE_PRIMES = [65537, 1000003, 2**61 - 1, 2**127 - 1]
+
+
 class TestSplittingBackend:
     @pytest.mark.parametrize("p", [3, 1009, 1000003])
     def test_divmod(self, p):
@@ -182,15 +199,37 @@ class TestSplittingBackend:
             if len(a) < len(m):
                 assert q == [] and r == a
 
-    @pytest.mark.parametrize("p", [3, 1009, 1000003])
+    @pytest.mark.parametrize("p", [3, 1009, 1000003, 2**61 - 1, 2**127 - 1])
     def test_powmod(self, p):
         rng = random.Random(p)
-        m = [rng.randrange(p) for _ in range(5)] + [1]
-        for base in ([0, 1], [rng.randrange(p) for _ in range(8)]):
-            power = [1]
-            for e in range(1, 41):
-                power = padic._fp_mulmod(power, base, m, p)
-                assert padic._fp_powmod(base, e, m, p) == power
+        for n in range(9):
+            m = [rng.randrange(p) for _ in range(n)] + [1]
+            # x, a base of degree below deg m, and one longer than m
+            for size in (0, n, n + 4):
+                base = padic._fp_trim([rng.randrange(p) for _ in range(size)]) if size else [0, 1]
+                power = padic._fp_divmod([1], m, p)[1]
+                for e in range(1, 41):
+                    power = padic._fp_divmod(_fp_mul(power, base, p), m, p)[1]
+                    assert padic._fp_powmod(base, e, m, p) == power
+                for e in (p, (p - 1) // 2):
+                    assert padic._fp_powmod(base, e, m, p) == fp_powmod_schoolbook(base, e, m, p)
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_roots_above_the_scan_threshold(self, p):
+        assert p >= padic.DEFAULT_SCAN_THRESHOLD
+        rng = random.Random(p)
+        a = rng.randrange(2, p)
+        while pow(a, (p - 1) // 2, p) != p - 1:
+            a += 1
+        for size in range(1, 9):
+            roots = [rng.randrange(p) for _ in range(size)]
+            roots += roots[: rng.randint(0, 2)]
+            f = IntPoly([-a, 0, 1])
+            for r in roots:
+                f = f * IntPoly([-r, 1])
+            assert roots_mod_p(f, p) == sorted(set(roots))
+        assert roots_mod_p(IntPoly([-3 * roots[0], 3]), p) == [roots[0]]
+        assert padic._roots_by_splitting([5], p) == []
 
     def test_counter_runs_past_trial_elements_that_do_not_split(self):
         # the Legendre symbols of 430 + a and 554 + a agree for a = 0 .. 25

@@ -1,8 +1,9 @@
 """Property tests: the pipeline against the brute-force oracle, the lifting
 tree against a plain walk from the definitions and the branches against a
 deeper walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i,
-the discriminant valuation against its definition, and parse_poly against
-IntPoly.to_text."""
+the discriminant valuation against its definition, the packed x^e mod (m, p)
+of the splitting backend against a schoolbook square-and-multiply, and
+parse_poly against IntPoly.to_text."""
 
 import re
 
@@ -21,8 +22,10 @@ from igusazeta.exactpoly import (
 )
 from igusazeta.igusa import _run_pipeline, discriminant_valuation, stability_threshold
 from igusazeta.oracle import verify_instance
+from igusazeta.padic import _fp_powmod, _fp_trim
 
 from reference_walk import assert_tree_matches
+from test_padic import LARGE_PRIMES, fp_powmod_schoolbook
 
 
 @st.composite
@@ -90,6 +93,21 @@ def discriminant_instances(draw):
 def test_discriminant_valuation_matches_its_definition(instance):
     f, p = instance
     assert discriminant_valuation(f, p) == valuation(discriminant(squarefree_part(f)), p)
+
+
+@st.composite
+def powmod_instances(draw):
+    p = draw(st.sampled_from([3, 1009] + LARGE_PRIMES))
+    digit = st.integers(0, p - 1)
+    m = draw(st.lists(digit, max_size=12)) + [1]
+    base = _fp_trim(draw(st.lists(digit, max_size=16)))
+    return base, draw(st.integers(1, 10**6)), m, p
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(powmod_instances())
+def test_packed_powmod_matches_schoolbook(instance):
+    assert _fp_powmod(*instance) == fp_powmod_schoolbook(*instance)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
