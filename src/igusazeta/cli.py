@@ -19,7 +19,7 @@ import sys
 
 from . import igusa, padic
 from .errors import ArgumentError, ParseError, VariableError, ZetaError
-from .exactpoly import IntPoly
+from .exactpoly import IntPoly, decimal_text
 
 # One token per match; whitespace matches no group, so finditer skips it.
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<x>x)|(?P<name>[A-Za-z_])|(?P<op>\*\*|[-+*^])|(?P<bad>\S)")
@@ -155,7 +155,8 @@ def _result(args: argparse.Namespace, f: IntPoly) -> tuple[dict, str, int]:
     head = {"poly": f.to_text(), "prime": str(p)}
     if args.command == "count":
         n = igusa.root_count(f, p, args.k)
-        return {**head, "k": args.k, "count": str(n)}, str(n), 0
+        text = decimal_text(n)
+        return {**head, "k": args.k, "count": text}, text, 0
     if args.command == "rep-roots":
         reps = padic.representative_roots(f, p, args.k)
         data = {**head, "k": args.k, "rep_roots": [r.to_json_dict() for r in reps]}
@@ -180,14 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        f = parse_poly(args.poly)
-        # Outputs are exact: lift Python's int-string limit, which parse_poly keeps.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            data, text, code = _result(args, f)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        data, text, code = _result(args, parse_poly(args.poly))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,26 @@ from .errors import ArgumentError, DegreeZero, ZeroPolynomial
 NEG_INFINITY = float("-inf")
 
 
+def decimal_text(n: int) -> str:
+    """Exact decimal text of an int of any size.
+
+    str() refuses ints past Python's int-string digit limit
+    (sys.get_int_max_str_digits, 4300 digits by default).  Larger ints are
+    split by divide and conquer on a power of ten until every piece fits;
+    the limit itself is never changed.
+    """
+    try:
+        return str(n)
+    except ValueError:  # past the limit
+        pass
+    if n < 0:
+        return "-" + decimal_text(-n)
+    # About half of n's digits: log10(2) / 2 is just above 3/20.
+    half = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**half)
+    return decimal_text(high) + decimal_text(low).zfill(half)
+
+
 class IntPoly:
     """Dense univariate polynomial with arbitrary-precision integer coefficients.
 
@@ -155,10 +175,10 @@ class IntPoly:
                 sign = " - " if c < 0 else " + "
             mag = abs(c)
             if i == 0:
-                body = str(mag)
+                body = decimal_text(mag)
             else:
                 power = var if i == 1 else f"{var}^{i}"
-                body = power if mag == 1 else f"{mag}*{power}"
+                body = power if mag == 1 else f"{decimal_text(mag)}*{power}"
             parts.append(sign + body)
         return "".join(parts)
 
@@ -185,12 +205,23 @@ def evaluate(f: IntPoly, a: int) -> int:
 
 
 def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:
-    """The polynomial f(a + b*x), expanded exactly."""
-    u = IntPoly((a, b))
-    acc = IntPoly()
-    for c in reversed(f.coeffs):
-        acc = acc * u + c
-    return acc
+    """The polynomial f(a + b*x), expanded exactly by a Taylor shift on one
+    coefficient list: n - 1 passes of synthetic division by x - a turn the
+    coefficients of f into those of f(a + x) (Knuth, TAOCP 4.6.4), and the
+    coefficient of x^i is then scaled by b^i.
+    """
+    cs = list(f.coeffs)
+    n = len(cs)
+    if a:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+    if b != 1:
+        power = 1
+        for i in range(1, n):
+            power *= b
+            cs[i] *= power
+    return IntPoly(cs)
 
 
 def valuation(a: int, p: int) -> int | float:

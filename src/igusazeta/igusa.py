@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError, InconsistentLengths, RegimeViolation
-from .exactpoly import IntPoly, content_and_primitive, discriminant, squarefree_part
+from .exactpoly import IntPoly, content_and_primitive, decimal_text, discriminant, squarefree_part
 from .padic import _LiftingTree, _squarefree_mod_p, check_prime, count_roots, valuation
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
@@ -53,7 +53,7 @@ class BranchParams:
             "e": self.multiplicity,
             "nu": self.valuation,
             "k_align": self.k_align,
-            "prefix": [str(d) for d in self.prefix],
+            "prefix": [decimal_text(d) for d in self.prefix],
         }
 
 
@@ -263,7 +263,7 @@ class ZetaReport:
     def to_json_dict(self) -> dict:
         return {
             "poly": self.poly.to_text(),
-            "prime": str(self.prime),
+            "prime": decimal_text(self.prime),
             "delta": self.disc_valuation,
             "k0": self.stable_precision,
             "n": self.n,
@@ -276,14 +276,14 @@ class ZetaReport:
     def describe(self) -> str:
         lines = [
             f"polynomial: {self.poly.to_text()}",
-            f"prime: {self.prime}",
+            f"prime: {decimal_text(self.prime)}",
             f"content shift: {self.content_shift}",
             f"discriminant valuation: {self.disc_valuation}",
             f"stable precision: {self.stable_precision}",
             f"branches: {self.n}",
         ]
         for b in self.branches:
-            prefix = ",".join(map(str, b.prefix)) or "-"
+            prefix = ",".join(map(decimal_text, b.prefix)) or "-"
             lines.append(
                 f"  prefix {prefix}: multiplicity {b.multiplicity},"
                 f" valuation {b.valuation}, aligned precision {b.k_align}"

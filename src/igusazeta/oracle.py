@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ArgumentError, BudgetExceeded
-from .exactpoly import IntPoly, content_and_primitive
+from .exactpoly import IntPoly, content_and_primitive, decimal_text
 from .igusa import _run_pipeline, closed_form_count
 from .igusa import poincare_series, root_count  # noqa: F401  rebound by benchmarks/tracer.py
 from .padic import RepRoot, check_prime
@@ -165,7 +165,7 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         return {
             "poly": self.poly.to_text(),
-            "prime": str(self.prime),
+            "prime": decimal_text(self.prime),
             "kmax": self.kmax,
             "budget": self.budget,
             "checks": [c.to_json_dict() for c in self.checks],
@@ -181,6 +181,12 @@ class VerificationReport:
         ]
         lines.append("all checks passed" if self.all_pass else "SOME CHECKS FAILED")
         return "\n".join(lines)
+
+
+def _fraction_text(q: Fraction) -> str:
+    # str(q), exact at any size
+    text = decimal_text(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{decimal_text(q.denominator)}"
 
 
 def _fmt_reps(reps: list[RepRoot]) -> str:
@@ -245,7 +251,9 @@ def verify_instance(
     for k in range(kmax + 1):
         want = Fraction(counts[k], p**k)
         got = series[k]
-        checks.append(CheckResult(f"series k={k}", str(want), str(got), want == got))
+        checks.append(
+            CheckResult(f"series k={k}", _fraction_text(want), _fraction_text(got), want == got)
+        )
 
     if g.degree >= 1:
         for k in range(k0, k0 + 2 * g.degree + 3):
@@ -253,7 +261,10 @@ def verify_instance(
             actual = closed_form_count(result.branches, p, k, k0)
             checks.append(
                 CheckResult(
-                    f"closed-form k={k}", str(expected), str(actual), expected == actual
+                    f"closed-form k={k}",
+                    decimal_text(expected),
+                    decimal_text(actual),
+                    expected == actual,
                 )
             )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ArgumentError, IdenticallyZeroModP
-from .exactpoly import IntPoly, compose_linear, content_and_primitive, valuation
+from .exactpoly import IntPoly, compose_linear, content_and_primitive, decimal_text, valuation
 
 DEFAULT_SCAN_THRESHOLD = 1 << 16
 
@@ -73,7 +73,7 @@ def check_prime(p: int) -> None:
     if p < 2:
         raise ArgumentError("p must be at least 2")
     if not is_prime(p):
-        raise ArgumentError(f"p must be prime: {p} is not prime")
+        raise ArgumentError(f"p must be prime: {decimal_text(p)} is not prime")
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -180,15 +180,16 @@ class RepRoot:
             yield v + m * step
 
     def describe(self) -> str:
+        p = decimal_text(self.p)
         if not self.digits:
-            return f"all residues (mod {self.p}^{self.k})"
+            return f"all residues (mod {p}^{self.k})"
         return (
-            f"{self.value} + {self.p}^{self.length}*m"
-            f" (mod {self.p}^{self.k}), digits {','.join(map(str, self.digits))}"
+            f"{decimal_text(self.value)} + {p}^{self.length}*m"
+            f" (mod {p}^{self.k}), digits {','.join(map(decimal_text, self.digits))}"
         )
 
     def to_json_dict(self) -> dict:
-        return {"digits": [str(d) for d in self.digits], "length": self.length}
+        return {"digits": [decimal_text(d) for d in self.digits], "length": self.length}
 
 
 def _reduce_mod_p(f: IntPoly, p: int) -> list[int]:
@@ -198,7 +199,9 @@ def _reduce_mod_p(f: IntPoly, p: int) -> list[int]:
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """All residues r in [0, p) with f(r) = 0 mod p, sorted.
 
-    Two backends share this contract, both deterministic: an exhaustive scan
+    An f that is linear mod p, as at most nodes of a lifting-tree chain are,
+    is solved before either backend: its one root is -f_0 / f_1 mod p.  Two
+    backends, both deterministic, take every other f: an exhaustive scan
     (for p = 2 and every p below DEFAULT_SCAN_THRESHOLD) and gcd with x^p - x
     followed by equal-degree splitting for large p.  The splitting backend
     computes x^p mod f, and the powers that split, with packed products: each
@@ -206,13 +209,14 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     product is one big-int multiply.  It counts its trial elements
     a = 0, 1, 2, ... rather than drawing them, and any p consecutive ones
     split a product of distinct linear factors, so each split ends within p
-    trials.  Both backends take a prime p only: any other p raises
-    ArgumentError.
+    trials.  Only a prime p is taken: any other p raises ArgumentError.
     """
     check_prime(p)
     fp = _reduce_mod_p(f, p)
     if not fp:
         raise IdenticallyZeroModP(f"polynomial is identically zero mod {p}")
+    if len(fp) == 2:
+        return [-fp[0] * pow(fp[1], -1, p) % p]
     if p == 2 or p < DEFAULT_SCAN_THRESHOLD:
         out = []
         for r in range(p):
@@ -335,11 +339,9 @@ def _squarefree_mod_p(f: IntPoly, p: int) -> bool:
 
 
 def _roots_by_splitting(fp: list[int], p: int) -> list[int]:
-    f = lin = _fp_monic(fp, p)
-    if len(f) != 2:
-        # a linear f divides x^p - x, so it needs no x^p mod f
-        xp = _fp_powmod([0, 1], p, f, p)
-        lin = _fp_gcd(_fp_sub(xp, [0, 1], p), f, p)
+    f = _fp_monic(fp, p)
+    xp = _fp_powmod([0, 1], p, f, p)
+    lin = _fp_gcd(_fp_sub(xp, [0, 1], p), f, p)
     roots: list[int] = []
     stack = [lin] if len(lin) > 1 else []
     # One counter of trial elements runs across the whole stack: a value that

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import ArgumentError, DivisionByZero, PoleAtZero
-from .exactpoly import IntPoly, exact_divide, poly_gcd
+from .exactpoly import IntPoly, decimal_text, exact_divide, poly_gcd
 
 
 def _as_int_poly(value) -> IntPoly:
@@ -102,6 +102,6 @@ class RationalFunction:
 
     def to_json_dict(self) -> dict:
         return {
-            "num": [str(c) for c in self.num.coeffs],
-            "den": [str(c) for c in self.den.coeffs],
+            "num": [decimal_text(c) for c in self.num.coeffs],
+            "den": [decimal_text(c) for c in self.den.coeffs],
         }

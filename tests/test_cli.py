@@ -198,6 +198,18 @@ class TestMain:
         assert main(["report", "--poly", f"{nines}*{nines}*x", "--prime", "4"]) == 3
         assert sys.get_int_max_str_digits() == limit
 
+    def test_library_output_past_the_int_string_limit_equals_the_cli(self, capsys):
+        # The library writes the 6000-digit coefficient itself, under the
+        # default limit, and leaves the limit as it was.
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * 3000
+        rep = igusazeta.report(IntPoly([0, (10**3000 - 1) ** 2]), 2)
+        assert main(["report", "--poly", f"{nines}*{nines}*x", "--prime", "2"]) == 0
+        assert capsys.readouterr().out == rep.describe() + "\n"
+        assert main(["report", "--poly", f"{nines}*{nines}*x", "--prime", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == rep.to_json_dict()
+        assert sys.get_int_max_str_digits() == limit
+
     def test_terms_that_cancel_do_not_raise_the_degree(self, capsys):
         assert main(["zeta", "--poly", "0*x^99999999999 + x", "--prime", "7"]) == 0
         assert capsys.readouterr().out == "(6) / (-t + 7)\n"

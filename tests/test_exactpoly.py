@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from igusazeta.exactpoly import (
     IntPoly,
     compose_linear,
     content_and_primitive,
+    decimal_text,
     derivative,
     discriminant,
     evaluate,
@@ -90,6 +92,34 @@ class TestIntPolyBasics:
         assert IntPoly([1, 3, 2]).to_text() == "2*x^2 + 3*x + 1"
         assert IntPoly([-12, 1, 0, -4]).to_text() == "-4*x^3 + x - 12"
         assert IntPoly().to_text() == "0"
+
+    def test_text_past_the_int_string_limit(self):
+        f = IntPoly([-(10**5000), 0, 10**5000 + 1])
+        assert f.to_text() == "1" + "0" * 4999 + "1*x^2 - 1" + "0" * 5000
+
+
+class TestDecimalText:
+    def test_matches_str_with_the_limit_lifted(self):
+        limit = sys.get_int_max_str_digits()
+        rng = random.Random(43)
+        values = [0, 1, -1, 2**2048, -(2**2048) - 1, 10**4300, 1 - 10**4300, 10**6000 - 1]
+        values += [rng.getrandbits(rng.randint(1, 40000)) * rng.choice([1, -1]) for _ in range(100)]
+        texts = [decimal_text(v) for v in values]
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert texts == [str(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_under_the_least_limit_python_accepts(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert decimal_text(10**700 + 5) == "1" + "0" * 699 + "5"
+            assert decimal_text(-(2**2048)) == "-" + str(2**2048)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDerivative:
@@ -399,3 +429,13 @@ class TestComposeLinear:
             for x in range(-3, 4):
                 assert evaluate(g, x) == evaluate(f, a + b * x)
 
+    def test_fixed_cases(self):
+        f = IntPoly([1, 2, 3])
+        assert compose_linear(IntPoly(), 3, 5) == IntPoly()
+        assert compose_linear(IntPoly([7]), -4, 9) == IntPoly([7])
+        assert compose_linear(f, 0, 5) == IntPoly([1, 10, 75])
+        assert compose_linear(f, 2, 0) == IntPoly([17])
+        assert compose_linear(f, 2, 1) == IntPoly([17, 14, 3])
+        assert compose_linear(f, -2, -3) == IntPoly([9, 30, 27])
+        # a tree step: x^2 - 17 at the root 1 mod 2, shifted by 2
+        assert compose_linear(IntPoly([-17, 0, 1]), 1, 2) == IntPoly([-16, 4, 4])

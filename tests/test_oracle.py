@@ -1,4 +1,6 @@
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +130,17 @@ class TestBruteRepRoots:
 
 
 class TestVerifyInstance:
+    def test_fraction_text_past_the_int_string_limit(self):
+        # a series check at k = 15000 compares fractions with 2^15000 below
+        qs = [Fraction(-3, 2**15000), Fraction(10**5000 + 1), Fraction(7, 2)]
+        texts = [oracle._fraction_text(q) for q in qs]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert texts == [str(q) for q in qs]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize(
         "text,p",
         [("2*x^2 + 3*x + 1", 2), ("x^2 - 1", 2), ("x^3 - x^2 - x + 1", 3)],

@@ -154,6 +154,32 @@ class TestRootsModP:
                     split = roots_mod_p(f, p)
                 assert scan == split
 
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_linear_against_a_scan(self, p):
+        rng = random.Random(p)
+        for _ in range(40):
+            lead = rng.randrange(1, p) + p * rng.randint(-5, 5)
+            f = IntPoly([rng.randint(-(10**6), 10**6), lead])
+            assert roots_mod_p(f, p) == [r for r in range(p) if f(r) % p == 0]
+
+    @pytest.mark.parametrize("p", [1000003, 2**127 - 1])
+    def test_linear_at_large_primes(self, monkeypatch, p):
+        # solved before either backend: the splitting backend is never asked
+        monkeypatch.setattr(padic, "_roots_by_splitting", None)
+        rng = random.Random(p)
+        for _ in range(40):
+            lead = rng.randrange(1, p) + p * rng.randint(-3, 3)
+            f = IntPoly([rng.randint(-(p**2), p**2), lead])
+            [r] = roots_mod_p(f, p)
+            assert 0 <= r < p and f(r) % p == 0
+
+    def test_linear_mod_p_only(self):
+        # 101*x^2 + 7*x + 3 is 7*x + 3 mod 101, and 3 + 7*14 = 101
+        assert roots_mod_p(IntPoly([3, 7, 101]), 101) == [14]
+        # 202*x^2 + 101*x + 5 is the nonzero constant 5 mod 101
+        assert roots_mod_p(IntPoly([5, 101, 202]), 101) == []
+        assert roots_mod_p(IntPoly([5, 1000003]), 1000003) == []
+
     def test_splitting_backend_repeated_roots(self, monkeypatch):
         # (x-1)^2 (x-2) keeps the gcd path honest about multiplicities
         monkeypatch.setattr(padic, "DEFAULT_SCAN_THRESHOLD", 0)

@@ -2,9 +2,11 @@
 tree against a plain walk from the definitions and the branches against a
 deeper walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i,
 the discriminant valuation against its definition, the packed x^e mod (m, p)
-of the splitting backend against a schoolbook square-and-multiply, and
-parse_poly against IntPoly.to_text."""
+of the splitting backend against a schoolbook square-and-multiply,
+compose_linear against the binomial expansion, and parse_poly against
+IntPoly.to_text."""
 
+import math
 import re
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from igusazeta.cli import parse_poly
 from igusazeta.exactpoly import (
     IntPoly,
+    compose_linear,
     content_and_primitive,
     discriminant,
     squarefree_part,
@@ -108,6 +111,22 @@ def powmod_instances(draw):
 @given(powmod_instances())
 def test_packed_powmod_matches_schoolbook(instance):
     assert _fp_powmod(*instance) == fp_powmod_schoolbook(*instance)
+
+
+shifts = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**20), 10**20))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-(10**40), 10**40), max_size=12), shifts, shifts)
+def test_compose_linear_matches_the_binomial_expansion(coeffs, a, b):
+    # f(a + b x) = sum_i c_i sum_j C(i, j) a^(i - j) b^j x^j; the lifting tree
+    # and tests/reference_walk.py both shift with compose_linear, so this is
+    # its independent check.
+    expanded = [0] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for j in range(i + 1):
+            expanded[j] += c * math.comb(i, j) * a ** (i - j) * b**j
+    assert compose_linear(IntPoly(coeffs), a, b) == IntPoly(expanded)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -94,6 +94,11 @@ class TestSerialization:
         r = RF(IntPoly([6]), IntPoly([7, -1]))
         assert r.to_text() == "(6) / (-t + 7)"
 
+    def test_json_past_the_int_string_limit(self):
+        r = RF(IntPoly([10**5000]), IntPoly([1, -3]))
+        assert r.to_json_dict() == {"num": ["1" + "0" * 5000], "den": ["1", "-3"]}
+        assert r.to_text() == f"({'1' + '0' * 5000}) / (-3*t + 1)"
+
     def test_json_round_trip(self):
         rng = random.Random(17)
         for _ in range(50):

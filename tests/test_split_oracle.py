@@ -15,7 +15,7 @@ from igusazeta.padic import count_roots, representative_roots
 
 from split_oracle import split_counts
 
-K = 60
+K = 120
 
 
 @st.composite
