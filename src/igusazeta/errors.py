@@ -28,8 +28,26 @@ class InconsistentLengths(ZetaError):
     """A branch's chain in the lifting tree, or the root counts, break the ceiling law.
 
     This signals an internal bug rather than bad input; it is raised
-    instead of being silently patched over.
+    instead of being silently patched over.  Besides the message it carries
+    what was observed; an attribute that does not apply is None.
+    `prefix` and `used` are a chain's digit prefix and the used precisions
+    along it, `multiplicities` the branch multiplicities, `degree` the
+    degree they must not exceed, and `counts` the root counts N_0 .. N_k.
     """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        prefix: tuple[int, ...] | None = None,
+        used: tuple[int, ...] | None = None,
+        multiplicities: tuple[int, ...] | None = None,
+        degree: int | None = None,
+        counts: tuple[int, ...] | None = None,
+    ):
+        super().__init__(message)
+        self.prefix, self.used = prefix, used
+        self.multiplicities, self.degree, self.counts = multiplicities, degree, counts
 
 
 class RegimeViolation(ZetaError):
@@ -51,7 +69,21 @@ class BudgetExceeded(ZetaError):
     budget or the int64 limit 3037000499, up to which the oracle's int64
     arithmetic is exact.  It replaces the MemoryError raised when one level
     of candidate residues, or the roots read from it, does not fit in memory.
+    Besides the message it carries what was observed: `modulus` (p^k) and
+    `limit` (the budget or the int64 limit) for a refusal, or `size` (the
+    array's length) for an array that did not fit; the others are None.
     """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        modulus: int | None = None,
+        limit: int | None = None,
+        size: int | None = None,
+    ):
+        super().__init__(message)
+        self.modulus, self.limit, self.size = modulus, limit, size
 
 
 class ParseError(ZetaError):

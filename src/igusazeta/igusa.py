@@ -117,24 +117,31 @@ def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[Branc
             n = kids[n][0]
             used.append(tree.nodes[n][3])
         observed = f"prefix {prefix}, used precisions {', '.join(map(str, used))}"
+        chain = {"prefix": prefix, "used": tuple(used)}
         if used[-1] < tree.k:
             raise InconsistentLengths(
-                f"{observed}: a chain node has {len(kids[n])} children below {tree.k}"
+                f"{observed}: a chain node has {len(kids[n])} children below {tree.k}", **chain
             )
         if len(used) < 2:
-            raise InconsistentLengths(f"{observed}: fewer than two records on the chain")
+            raise InconsistentLengths(f"{observed}: fewer than two records on the chain", **chain)
         e = used[1] - used[0]
         if any(b - a != e for a, b in zip(used, used[1:])):
-            raise InconsistentLengths(f"{observed}: the steps are not one constant e")
+            raise InconsistentLengths(f"{observed}: the steps are not one constant e", **chain)
         if top - (c + k0) >= e:
-            raise InconsistentLengths(f"{observed}: precision {c + k0} is not on the chain")
+            raise InconsistentLengths(
+                f"{observed}: precision {c + k0} is not on the chain", **chain
+            )
         nu = top - c - e * depth
         if nu < 0:
-            raise InconsistentLengths(f"{observed}: negative branch valuation {nu}")
+            raise InconsistentLengths(f"{observed}: negative branch valuation {nu}", **chain)
         branches.append(BranchParams(e, nu, k0 + (nu - k0) % e, prefix))
     total = sum(b.multiplicity for b in branches)
     if total > d:
-        raise InconsistentLengths(f"total branch multiplicity {total} exceeds the degree {d}")
+        raise InconsistentLengths(
+            f"total branch multiplicity {total} exceeds the degree {d}",
+            multiplicities=tuple(b.multiplicity for b in branches),
+            degree=d,
+        )
     return sorted(branches, key=lambda b: b.prefix)
 
 
@@ -209,7 +216,9 @@ def _poincare_and_zeta(
     if any(head[top : last + 1]):
         raise InconsistentLengths(
             f"root counts at precisions {top}..{last} do not fit"
-            f" the branch multiplicities {multiplicities}"
+            f" the branch multiplicities {multiplicities}",
+            counts=tuple(counts),
+            multiplicities=tuple(multiplicities),
         )
     num = IntPoly(head[:top])
     den = den0 * p**last

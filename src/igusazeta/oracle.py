@@ -43,9 +43,17 @@ def _check_budget(p: int, k: int, budget: int) -> None:
         raise ArgumentError("precision k must be nonnegative")
     m = p**k
     if m > budget:
-        raise BudgetExceeded(f"p^k = {m} exceeds the enumeration budget {budget}")
+        raise BudgetExceeded(
+            f"p^k = {decimal_text(m)} exceeds the enumeration budget {decimal_text(budget)}",
+            modulus=m,
+            limit=budget,
+        )
     if m > _INT64_SAFE_MODULUS:
-        raise BudgetExceeded(f"p^k = {m} exceeds the int64 limit {_INT64_SAFE_MODULUS}")
+        raise BudgetExceeded(
+            f"p^k = {decimal_text(m)} exceeds the int64 limit {_INT64_SAFE_MODULUS}",
+            modulus=m,
+            limit=_INT64_SAFE_MODULUS,
+        )
 
 
 @contextmanager
@@ -53,7 +61,7 @@ def _in_memory(n: int):
     try:
         yield
     except MemoryError:
-        raise BudgetExceeded(f"an array of {n} residues does not fit in memory") from None
+        raise BudgetExceeded(f"an array of {n} residues does not fit in memory", size=n) from None
 
 
 def _root_levels(f: IntPoly, p: int, K: int) -> Iterator[np.ndarray]:

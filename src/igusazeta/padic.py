@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -255,7 +257,12 @@ def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _fp_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    # quotient and remainder of a by a monic m
+    """Quotient and remainder of a by a monic m; neither argument is changed.
+
+    The inner updates are not reduced: an entry takes at most deg m of them,
+    each below p^2, and is reduced mod p once, when it becomes a quotient
+    coefficient or, at the end, a remainder coefficient.
+    """
     r = a[:]
     dm = len(m) - 1
     q = [0] * max(len(a) - dm, 0)
@@ -263,7 +270,7 @@ def _fp_divmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]
         c = q[i] = r[i + dm] % p
         if c:
             for j in range(dm):
-                r[i + j] = (r[i + j] - c * m[j]) % p
+                r[i + j] -= c * m[j]
     return _fp_trim(q), _fp_trim([c % p for c in r[:dm]])
 
 
@@ -276,25 +283,39 @@ def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     A residue is packed into one int, a slot of w bytes per coefficient
     (Kronecker substitution), so a product is one big-int multiply.  The
     product's slots from n = deg m up are reduced mod p and folded back as
-    multiples of the rows x^(n + i) mod m, built once per call; the sum is
+    multiples of the rows x^(n + i) mod m, built once per call; a zero slot
+    is skipped, as are all but one in a product by x or x + a.  The sum is
     then unpacked, reduced mod p and packed again.  No slot carries into the
     next: a product slot is a sum of at most n terms below p^2, and the rows
     add at most n - 1 more such terms, so every slot stays below
-    2n p^2 <= 2^(8w).
+    2n p^2 <= 2^(8w).  When that allows w <= 8, which is when
+    2 bits(p) + bits(2n) <= 64 (p < 2^29 up to degree 31), the slot is one
+    64-bit word, and a residue is packed and unpacked through array("Q");
+    wider slots go one int.to_bytes or int.from_bytes per coefficient.
     """
     n = len(m) - 1
     if n == 0:
         return []
-    w = (2 * p.bit_length() + (2 * n).bit_length() + 7) // 8
+    w = max((2 * p.bit_length() + (2 * n).bit_length() + 7) // 8, 8)
     low = 8 * w * n
     mask = (1 << low) - 1
 
-    def pack(a: list[int]) -> int:
-        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+    if w == 8:
 
-    def unpack(x: int, k: int) -> list[int]:
-        b = x.to_bytes(k * w, "little")
-        return [int.from_bytes(b[i : i + w], "little") % p for i in range(0, k * w, w)]
+        def pack(a: list[int]) -> int:
+            return int.from_bytes(array("Q", a).tobytes(), sys.byteorder)
+
+        def unpack(x: int, k: int) -> list[int]:
+            return [c % p for c in memoryview(x.to_bytes(8 * k, sys.byteorder)).cast("Q")]
+
+    else:
+
+        def pack(a: list[int]) -> int:
+            return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+
+        def unpack(x: int, k: int) -> list[int]:
+            b = x.to_bytes(k * w, "little")
+            return [int.from_bytes(b[i : i + w], "little") % p for i in range(0, k * w, w)]
 
     row = [-c % p for c in m[:n]]
     rows = []
@@ -307,7 +328,8 @@ def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
         prod = x * y
         acc = prod & mask
         for h, r in zip(unpack(prod >> low, n - 1), rows):
-            acc += h * r
+            if h:
+                acc += h * r
         return pack(unpack(acc, n))
 
     b = result = pack(_fp_divmod(base, m, p)[1])
@@ -319,9 +341,25 @@ def _fp_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b over F_p ([] when both are zero).
+
+    Euclid on the remainders as they come, none made monic: each division
+    runs in place on a copy of the dividend, scales by the inverse of lc(b),
+    and reduces the remainder mod p once at the end, as _fp_divmod does but
+    with no quotient kept.  Only the final gcd is made monic.  Neither
+    argument is changed.
+    """
+    a, b = a[:], b[:]
     while b:
-        b = _fp_monic(b, p)
-        a, b = b, _fp_divmod(a, b, p)[1]
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        for i in range(len(a) - 1 - db, -1, -1):
+            c = a[i + db] * inv % p
+            if c:
+                for j in range(db):
+                    a[i + j] -= c * b[j]
+        del a[db:]
+        a, b = b, _fp_trim([c % p for c in a])
     return _fp_monic(a, p) if a else []
 
 

@@ -296,6 +296,19 @@ class TestInconsistentLengths:
         with pytest.raises(InconsistentLengths, match="multiplicity 3 exceeds the degree 2"):
             _branches_of(_FakeTree(((0, 1), (7, 10, 13))))
 
+    def test_chain_error_carries_the_chain(self):
+        with pytest.raises(InconsistentLengths) as err:
+            _branches_of(_FakeTree(((0, 1, 1), (7, 9, 10, 12))))
+        assert (err.value.prefix, err.value.used) == ((0, 1, 1), (7, 9, 10, 12))
+        assert err.value.multiplicities is err.value.degree is err.value.counts is None
+
+    def test_multiplicity_error_carries_the_multiplicities_and_the_degree(self):
+        tree = _FakeTree(((1, 1, 1), (7, 9, 11, 13)), ((0, 1, 1), (7, 9, 11, 13)))
+        with pytest.raises(InconsistentLengths, match="multiplicity 4 exceeds the degree 3") as err:
+            _extract_branches(tree, 0, 3, 7)
+        assert (err.value.multiplicities, err.value.degree) == ((2, 2), 3)
+        assert err.value.prefix is err.value.used is err.value.counts is None
+
 
 class TestRootCount:
     def test_negative_precision(self):
@@ -409,6 +422,15 @@ class TestAssemblyConsistency:
         counts[-1] += 1
         with pytest.raises(InconsistentLengths, match="do not fit"):
             _poincare_and_zeta(p, counts, true, top)
+
+    def test_fit_error_carries_the_counts_and_the_multiplicities(self):
+        # x^2 at 3: one branch of multiplicity 2; claiming 1 and 3 instead
+        _, tree = _run_pipeline(X2, 3)
+        counts = tree.counts()
+        with pytest.raises(InconsistentLengths, match=r"multiplicities \[1, 3\]") as err:
+            _poincare_and_zeta(3, counts, {3, 1}, len(counts) - 2)
+        assert (err.value.counts, err.value.multiplicities) == (tuple(counts), (1, 3))
+        assert err.value.prefix is err.value.used is err.value.degree is None
 
 
 class TestClosedFormCount:

@@ -51,6 +51,31 @@ class TestBruteCount:
             brute_rep_roots(IntPoly([0, 1]), 3, 20, budget=10**10)
 
 
+@pytest.mark.parametrize(
+    "p, k, budget, limit",
+    [(2, 24, 10**7, 10**7), (2, 32, 2**33, 3037000499), (3, 20, 10**10, 3037000499)],
+    ids=["budget", "int64-limit", "int64-limit-odd-p"],
+)
+def test_budget_error_carries_the_modulus_and_the_limit(p, k, budget, limit):
+    with pytest.raises(BudgetExceeded, match=f"p\\^k = {p**k} exceeds") as err:
+        brute_count(IntPoly([0, 1]), p, k, budget=budget)
+    assert (err.value.modulus, err.value.limit, err.value.size) == (p**k, limit, None)
+
+
+def test_budget_error_past_the_int_string_limit():
+    # p^k has 6021 digits, past Python's 4300-digit int-string limit
+    with pytest.raises(BudgetExceeded) as err:
+        brute_count(IntPoly([0, 1]), 2, 20000)
+    assert err.value.modulus == 2**20000
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"p^k = {2**20000} exceeds the enumeration budget 10000000"
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(err.value) == want
+
+
 def _refusing(orig, n):
     """orig, except that it raises MemoryError, as numpy does when memory
     runs out, when an array argument holds n or more entries."""
@@ -70,8 +95,9 @@ def test_table_that_does_not_fit_is_a_budget_error(monkeypatch, call, step):
     # candidates.  Level 5 cannot allocate its Horner accumulator (build) or
     # the roots it selects (read); the error names that level's size.
     monkeypatch.setattr(np, step, _refusing(getattr(np, step), 243))
-    with pytest.raises(BudgetExceeded, match="an array of 243 residues does not fit"):
+    with pytest.raises(BudgetExceeded, match="an array of 243 residues does not fit") as err:
         call(IntPoly([243]), 3, 5)
+    assert (err.value.modulus, err.value.limit, err.value.size) == (None, None, 243)
 
 
 def test_root_list_that_does_not_fit_is_a_budget_error(monkeypatch):

@@ -187,6 +187,25 @@ class TestRootsModP:
         assert roots_mod_p(f, 1009) == [1, 2]
 
 
+class TestSquarefreeModP:
+    P = 1000003  # 3 mod 4, so -1 is not a square and x^2 + 1 has no root
+
+    def test_rootless_squares(self):
+        p = self.P
+        assert p % 4 == 3
+        q = IntPoly([1, 0, 1])
+        assert padic._squarefree_mod_p(q, p)
+        for f in (q**2, q**2 * IntPoly([4, 0, 1]), q**2 + IntPoly([0, p]), 3 * q**3):
+            assert roots_mod_p(f, p) == []
+            assert not padic._squarefree_mod_p(f, p), f
+
+    def test_squarefree_rootless_product(self):
+        # (x^2 + 1)(x^2 + 4) is squarefree mod p, and x^2 + 4 has no root either
+        p = self.P
+        f = IntPoly([1, 0, 1]) * IntPoly([4, 0, 1])
+        assert roots_mod_p(f, p) == [] and padic._squarefree_mod_p(f, p)
+
+
 def _fp_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ca in enumerate(a):
@@ -238,6 +257,29 @@ class TestSplittingBackend:
                     power = padic._fp_divmod(_fp_mul(power, base, p), m, p)[1]
                     assert padic._fp_powmod(base, e, m, p) == power
                 for e in (p, (p - 1) // 2):
+                    assert padic._fp_powmod(base, e, m, p) == fp_powmod_schoolbook(base, e, m, p)
+
+    @pytest.mark.parametrize(
+        "p, degrees, word",
+        [
+            (1000003, range(16, 31), True),
+            # 2 bits(p) + bits(2n) is 64 and 66: one 8-byte word a slot, and 9 bytes
+            (536870909, [30], True),
+            (536870923, [16], False),
+            # p^2 alone needs 64 bits here, so one word a slot would carry
+            (4294967291, [16], False),
+        ],
+        ids=["benchmark-prime", "widest-word", "narrowest-bytes", "word-would-carry"],
+    )
+    def test_powmod_at_the_slot_width_boundary(self, p, degrees, word):
+        rng = random.Random(p)
+        for n in degrees:
+            assert (2 * p.bit_length() + (2 * n).bit_length() <= 64) == word
+            m = [rng.randrange(p) for _ in range(n)] + [1]
+            a = rng.randrange(1, p)
+            full = [rng.randrange(1, p) for _ in range(n)]
+            for base in ([0, 1], [a, 1], full):
+                for e in (p, (p - 1) // 2, rng.randrange(2, p)):
                     assert padic._fp_powmod(base, e, m, p) == fp_powmod_schoolbook(base, e, m, p)
 
     @pytest.mark.parametrize("p", LARGE_PRIMES)

@@ -2,9 +2,9 @@
 tree against a plain walk from the definitions and the branches against a
 deeper walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i,
 the discriminant valuation against its definition, the packed x^e mod (m, p)
-of the splitting backend against a schoolbook square-and-multiply,
-compose_linear against the binomial expansion, and parse_poly against
-IntPoly.to_text."""
+of the splitting backend against a schoolbook square-and-multiply, the F_p
+gcd against plain Euclid, compose_linear against the binomial expansion, and
+parse_poly against IntPoly.to_text."""
 
 import math
 import re
@@ -25,10 +25,10 @@ from igusazeta.exactpoly import (
 )
 from igusazeta.igusa import _run_pipeline, discriminant_valuation, stability_threshold
 from igusazeta.oracle import verify_instance
-from igusazeta.padic import _fp_powmod, _fp_trim
+from igusazeta.padic import _fp_gcd, _fp_powmod, _fp_trim
 
 from reference_walk import assert_tree_matches
-from test_padic import LARGE_PRIMES, fp_powmod_schoolbook
+from test_padic import LARGE_PRIMES, _fp_mul, fp_powmod_schoolbook
 
 
 @st.composite
@@ -111,6 +111,53 @@ def powmod_instances(draw):
 @given(powmod_instances())
 def test_packed_powmod_matches_schoolbook(instance):
     assert _fp_powmod(*instance) == fp_powmod_schoolbook(*instance)
+
+
+def _fp_gcd_schoolbook(a, b, p):
+    """The monic gcd over F_p by plain Euclid: each divisor made monic, each
+    update reduced mod p."""
+    a, b = a[:], b[:]
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        while len(a) >= len(b):
+            top, shift = a[-1], len(a) - len(b)
+            for j, c in enumerate(b):
+                a[shift + j] = (a[shift + j] - top * c) % p
+            _fp_trim(a)
+        a, b = b, a
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+@st.composite
+def gcd_instances(draw):
+    # a = g u and b = g v over F_p, every leading coefficient any unit (so,
+    # above p = 2, mostly not 1): g = 1 or a common factor, b = 0 now and
+    # then, deg a = deg b often.
+    p = draw(st.sampled_from([2, 3, 101, 1000003, 536870909, 2**61 - 1]))
+
+    def poly(degree):
+        return [draw(st.integers(0, p - 1)) for _ in range(degree)] + [draw(st.integers(1, p - 1))]
+
+    g = poly(draw(st.integers(0, 4)))
+    du = draw(st.integers(0, 8))
+    dv = draw(st.one_of(st.just(du), st.integers(0, 8)))
+    a = _fp_mul(g, poly(du), p)
+    b = [] if draw(st.integers(0, 7)) == 0 else _fp_mul(g, poly(dv), p)
+    return a, b, p
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(gcd_instances())
+def test_fp_gcd_matches_euclid_and_keeps_its_arguments(instance):
+    a, b, p = instance
+    saved = a[:], b[:]
+    assert _fp_gcd(a, b, p) == _fp_gcd_schoolbook(a, b, p)
+    assert _fp_gcd(b, a, p) == _fp_gcd_schoolbook(a, b, p)
+    assert (a, b) == saved
 
 
 shifts = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**20), 10**20))
