@@ -56,8 +56,8 @@ from .cli import parse_poly
 
 __version__ = "0.1.0"
 
-# The oracle needs numpy, which only verification uses, so it is imported
-# on first use of one of its names (PEP 562).
+# Only verification uses the oracle, so it is imported on first use of one
+# of its names (PEP 562) and report users skip the cost of its import.
 _ORACLE_NAMES = {
     "CheckResult",
     "VerificationReport",

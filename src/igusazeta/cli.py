@@ -167,7 +167,7 @@ def _result(args: argparse.Namespace, f: IntPoly) -> tuple[dict, str, int]:
     if args.command == "report":
         rep = igusa.report(f, p)
         return rep.to_json_dict(), rep.describe(), 0
-    from . import oracle  # numpy, which the oracle needs, loads only here
+    from . import oracle  # only verify pays for the oracle's import
 
     budget = oracle.DEFAULT_BUDGET if args.budget is None else args.budget
     result = oracle.verify_instance(f, p, args.kmax, budget)

@@ -66,12 +66,12 @@ class BudgetExceeded(ZetaError):
     """The brute-force oracle refuses an enumeration.
 
     It is raised before anything is allocated when p^k exceeds the caller's
-    budget or the int64 limit 3037000499, up to which the oracle's int64
-    arithmetic is exact.  It replaces the MemoryError raised when one level
-    of candidate residues, or the roots read from it, does not fit in memory.
+    budget.  It replaces the MemoryError raised when one level of candidate
+    residues, or the grouping of its roots, does not fit in memory.
     Besides the message it carries what was observed: `modulus` (p^k) and
-    `limit` (the budget or the int64 limit) for a refusal, or `size` (the
-    array's length) for an array that did not fit; the others are None.
+    `limit` (the budget) for a refusal, or `size` (the level's number of
+    candidates, or of roots) for a level that did not fit; the others are
+    None.
     """
 
     def __init__(

@@ -5,12 +5,11 @@ the lifting tree or the closed forms this module checks.  The search is
 exhaustive although it does not evaluate every residue: a root x mod p^k
 reduces to a root x mod p^(k-1), so every root at level k is one of the p
 lifts r + j*p^(k-1) of a root r at level k-1, and testing those candidates
-finds them all.  Level 0 is the single residue 0.  Each level evaluates f by
-int64 Horner steps, exact since _check_budget admits no modulus above
-_INT64_SAFE_MODULUS.  This is the digit-by-digit view of Dwivedi, Mittal and
-Saxena's root counter, but the oracle only enumerates: it compares no
-valuations and shifts no polynomials, so a fault in the tree cannot hide in
-it.
+finds them all.  Level 0 is the single residue 0.  Each level evaluates f at
+every candidate by Python-int Horner steps, exact at any modulus.  This is
+the digit-by-digit view of Dwivedi, Mittal and Saxena's root counter, but
+the oracle only enumerates: it compares no valuations and shifts no
+polynomials, so a fault in the tree cannot hide in it.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
-
-import numpy as np
 
 from .errors import ArgumentError, BudgetExceeded
 from .exactpoly import IntPoly, content_and_primitive, decimal_text
@@ -31,12 +28,9 @@ from .padic import count_roots, representative_roots  # noqa: F401  rebound by b
 
 DEFAULT_BUDGET = 10**7
 
-# isqrt(2^63 - 1): products of residues below this stay inside int64.
-_INT64_SAFE_MODULUS = 3_037_000_499
-
 
 def _check_budget(p: int, k: int, budget: int) -> None:
-    """Raise BudgetExceeded unless p^k is at most the budget and _INT64_SAFE_MODULUS."""
+    """Raise BudgetExceeded unless p^k is at most the budget."""
     if p < 2:
         raise ArgumentError("p must be at least 2")
     if k < 0:
@@ -48,12 +42,6 @@ def _check_budget(p: int, k: int, budget: int) -> None:
             modulus=m,
             limit=budget,
         )
-    if m > _INT64_SAFE_MODULUS:
-        raise BudgetExceeded(
-            f"p^k = {decimal_text(m)} exceeds the int64 limit {_INT64_SAFE_MODULUS}",
-            modulus=m,
-            limit=_INT64_SAFE_MODULUS,
-        )
 
 
 @contextmanager
@@ -64,42 +52,56 @@ def _in_memory(n: int):
         raise BudgetExceeded(f"an array of {n} residues does not fit in memory", size=n) from None
 
 
-def _root_levels(f: IntPoly, p: int, K: int) -> Iterator[np.ndarray]:
-    """The sorted int64 array of roots of f mod p^k, for k = 0, 1, ..., K.
+def _root_levels(f: IntPoly, p: int, K: int) -> Iterator[list[int]]:
+    """The sorted list of roots of f mod p^k, for k = 0, 1, ..., K.
 
     The caller checks p^K with _check_budget.  Only the previous level is
-    kept while the next is built, and no array is longer than p^K.
+    kept while the next is built, and no level is longer than p^K.
     """
-    roots = np.zeros(1, dtype=np.int64)
+    roots = [0]
     m = 1
     yield roots
     for _ in range(K):
         step, m = m, m * p
-        n = p * len(roots)
-        with _in_memory(n):
-            # Row j holds the lifts r + j*step, so the flattened array is sorted.
-            xs = (np.arange(0, m, step, dtype=np.int64)[:, None] + roots).ravel()
-            acc = np.zeros_like(xs)
-            for c in reversed(f.coeffs):
-                acc *= xs
-                acc += c % m
-                acc %= m
-            roots = np.compress(acc == 0, xs)
-        del xs, acc  # not held while the caller reads this level
+        with _in_memory(p * len(roots)):
+            roots = _next_level(f, roots, step, m)
         yield roots
 
 
-def _rep_roots(roots: np.ndarray, p: int, k: int) -> list[RepRoot]:
+def _next_level(f: IntPoly, roots: list[int], step: int, m: int) -> list[int]:
+    """The lifts x = r + j*step, j < m // step, of the roots r mod step at
+    which f vanishes mod m, in increasing order.
+
+    x is a root when x * h(x) = -f(0) mod m, where h = (f - f(0)) / x is
+    evaluated by Horner's rule mod m, so no step outgrows m^2 whatever the
+    degree of f.
+    """
+    c0, *rest = f.coeffs or (0,)
+    high = [c % m for c in reversed(rest)]
+    target = -c0 % m
+    out = []
+    # j outer and r < step inner, so the lifts come in increasing order.
+    for j in range(0, m, step):
+        for r in roots:
+            x = j + r
+            acc = 0
+            for c in high:
+                acc = (acc * x + c) % m
+            if acc * x % m == target:
+                out.append(x)
+    return out
+
+
+def _rep_roots(roots: list[int], p: int, k: int) -> list[RepRoot]:
     """The decomposition that _decompose builds from the roots mod p^k."""
     reps: list[tuple[int, ...]] = []
-    with _in_memory(len(roots)):  # the root list and its grouping allocate
-        vals = roots.tolist()
-        if vals:
-            _decompose(vals, p, k, 0, (), reps)
+    with _in_memory(len(roots)):  # the grouping of the roots allocates
+        if roots:
+            _decompose(roots, p, k, 0, (), reps)
     return sorted((RepRoot(p=p, k=k, digits=d) for d in reps), key=lambda r: r.digits)
 
 
-def _roots_mod(f: IntPoly, p: int, k: int, budget: int) -> np.ndarray:
+def _roots_mod(f: IntPoly, p: int, k: int, budget: int) -> list[int]:
     """The roots of f mod p^k, once _check_budget admits p^k."""
     _check_budget(p, k, budget)
     for roots in _root_levels(f, p, k):

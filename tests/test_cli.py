@@ -291,18 +291,18 @@ class TestMain:
         assert err == "error: p must be prime: 4 is not prime\n"
 
     def test_verify_table_that_does_not_fit(self, capsys, monkeypatch):
-        import numpy
+        import igusazeta.oracle as oracle
 
-        zeros_like = numpy.zeros_like
+        next_level = oracle._next_level
 
-        def refuse(a, *args, **kwargs):
-            if a.size >= 2**20:
+        def refuse(f, roots, step, m):
+            if m // step * len(roots) >= 2**20:
                 raise MemoryError
-            return zeros_like(a, *args, **kwargs)
+            return next_level(f, roots, step, m)
 
-        # every residue is a root of 2^40 mod 2^k up to the int64 limit, so
-        # level 20 has 2^20 candidates, refused as numpy would refuse them
-        monkeypatch.setattr(numpy, "zeros_like", refuse)
+        # every residue is a root of 2^40 mod 2^k up to the budget, so
+        # level 20 has 2^20 candidates, refused as if memory ran out
+        monkeypatch.setattr(oracle, "_next_level", refuse)
         argv = ["verify", "--poly", "1099511627776", "--prime", "2", "--kmax", "40",
                 "--budget", "10000000000"]
         assert main(argv) == 3
@@ -417,16 +417,18 @@ def test_closed_pipe_ends_quietly(fmt):
     assert err == ""
 
 
-def test_numpy_loads_only_for_verify():
-    # report, zeta and friends never enumerate, so they skip numpy's import
-    # cost; verify loads it with the oracle.
+def test_verify_runs_without_numpy():
+    # The oracle enumerates in Python ints, so verify needs no numpy; report,
+    # zeta and friends never enumerate, so they skip the oracle's import.
     code = (
-        "import sys, igusazeta\n"
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import igusazeta\n"
         "from igusazeta.cli import main\n"
-        "main(['zeta', '--poly', 'x^2 - 1', '--prime', '2'])\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert main(['zeta', '--poly', 'x^2 - 1', '--prime', '2']) == 0\n"
+        "assert 'igusazeta.oracle' not in sys.modules\n"
+        "assert main(['verify', '--poly', 'x^2 - 1', '--prime', '2', '--kmax', '8']) == 0\n"
         "assert igusazeta.brute_count(igusazeta.parse_poly('x^2 - 1'), 2, 3) == 4\n"
-        "assert 'numpy' in sys.modules\n"
     )
     src = str(Path(igusazeta.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]

@@ -2,7 +2,6 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from igusazeta.errors import ArgumentError, BudgetExceeded
@@ -40,24 +39,31 @@ class TestBruteCount:
             brute_count(IntPoly([0, 1]), 2, 24)
         assert brute_count(IntPoly([0, 1]), 2, 24, budget=2**24) == 1
 
-    def test_int64_limit_refuses_before_allocating(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated a table beyond the int64 limit")
+    def test_modulus_past_the_old_int64_limit_enumerates_exactly(self):
+        # Python ints cannot overflow, so the budget alone bounds p^k; the
+        # oracle once refused every p^k above 3037000499, past which a
+        # product of two residues outgrows int64.
+        assert brute_count(IntPoly([0, 1]), 2, 32, budget=2**33) == 1
+        reps = brute_rep_roots(IntPoly([0, 1]), 3, 20, budget=10**10)
+        assert [r.digits for r in reps] == [(0,) * 20]
+        # x^2 + 2 has two roots mod 3^k for every k; mod 3^30 each squares
+        # past 2^63.
+        f, m = IntPoly([2, 0, 1]), 3**30
+        roots = oracle._roots_mod(f, 3, 30, budget=m)
+        assert len(roots) == 2 and roots[0] + roots[1] == m
+        assert all((r * r + 2) % m == 0 and r * r > 2**63 for r in roots)
 
-        monkeypatch.setattr(np, "arange", refuse)
-        with pytest.raises(BudgetExceeded, match="int64 limit 3037000499"):
-            brute_count(IntPoly([0, 1]), 2, 32, budget=2**33)
-        with pytest.raises(BudgetExceeded, match="int64 limit"):
-            brute_rep_roots(IntPoly([0, 1]), 3, 20, budget=10**10)
 
-
+# The int64-limit cases sit past the limit 3037000499 that the oracle once
+# had; the budget is the only limit a refusal reports.
 @pytest.mark.parametrize(
     "p, k, budget, limit",
-    [(2, 24, 10**7, 10**7), (2, 32, 2**33, 3037000499), (3, 20, 10**10, 3037000499)],
+    [(2, 24, 10**7, 10**7), (2, 34, 2**33, 2**33), (3, 21, 10**10, 10**10)],
     ids=["budget", "int64-limit", "int64-limit-odd-p"],
 )
 def test_budget_error_carries_the_modulus_and_the_limit(p, k, budget, limit):
-    with pytest.raises(BudgetExceeded, match=f"p\\^k = {p**k} exceeds") as err:
+    want = f"p\\^k = {p**k} exceeds the enumeration budget {budget}"
+    with pytest.raises(BudgetExceeded, match=want) as err:
         brute_count(IntPoly([0, 1]), p, k, budget=budget)
     assert (err.value.modulus, err.value.limit, err.value.size) == (p**k, limit, None)
 
@@ -76,25 +82,30 @@ def test_budget_error_past_the_int_string_limit():
     assert str(err.value) == want
 
 
-def _refusing(orig, n):
-    """orig, except that it raises MemoryError, as numpy does when memory
-    runs out, when an array argument holds n or more entries."""
+def _refusing(n, step="build"):
+    """oracle._next_level, except that it raises MemoryError, as a level
+    that outgrows memory does, when the level has n or more candidates:
+    before any candidate is evaluated (build), or once its roots are
+    collected (read)."""
+    next_level = oracle._next_level
 
-    def call(*args, **kwargs):
-        if max((a.size for a in args if isinstance(a, np.ndarray)), default=0) >= n:
-            raise MemoryError
-        return orig(*args, **kwargs)
+    def call(f, roots, lift, m):
+        if m // lift * len(roots) < n:
+            return next_level(f, roots, lift, m)
+        if step == "read":
+            next_level(f, roots, lift, m)
+        raise MemoryError
 
     return call
 
 
-@pytest.mark.parametrize("step", ["zeros_like", "compress"], ids=["build", "read"])
+@pytest.mark.parametrize("step", ["build", "read"])
 @pytest.mark.parametrize("call", [brute_count, brute_rep_roots])
 def test_table_that_does_not_fit_is_a_budget_error(monkeypatch, call, step):
     # Every residue is a root of 243 mod 3^k for k <= 5, so level k has 3^k
-    # candidates.  Level 5 cannot allocate its Horner accumulator (build) or
-    # the roots it selects (read); the error names that level's size.
-    monkeypatch.setattr(np, step, _refusing(getattr(np, step), 243))
+    # candidates.  Level 5 fails while its candidates are evaluated (build)
+    # or as its roots are returned (read); the error names that level's size.
+    monkeypatch.setattr(oracle, "_next_level", _refusing(243, step))
     with pytest.raises(BudgetExceeded, match="an array of 243 residues does not fit") as err:
         call(IntPoly([243]), 3, 5)
     assert (err.value.modulus, err.value.limit, err.value.size) == (None, None, 243)
@@ -114,7 +125,7 @@ def test_root_list_that_does_not_fit_is_a_budget_error(monkeypatch):
 @pytest.mark.parametrize("call", [brute_count, brute_rep_roots])
 def test_p_below_two_rejected(call, p):
     # brute_count(x, 1, 3) used to return 1; p = 0 divided by zero and p = -2
-    # asked numpy for an array of negative size
+    # asked for a table of negative size
     with pytest.raises(ArgumentError, match="p must be at least 2"):
         call(IntPoly([0, 1]), p, 3)
 
@@ -326,19 +337,22 @@ class TestResidueTable:
             want = [(f, K), (g, K)] if c > 0 else [(f, K)]
             assert enumerated == want, (text, p, enumerated)
 
-    def test_int64_limit_stops_the_checks_as_the_budget_does(self, monkeypatch):
-        # a budget above the limit checks every k with p^k <= the limit
+    def test_budget_alone_stops_the_checks(self):
+        # a budget past the old int64 limit 3037000499 checks every k with
+        # p^k <= the budget, and the checks still pass there
+        budget = 2 * 10**10
         for text, p in CORPUS + _CONTENT_CASES:
-            f = parse_poly(text)
-            want = verify_instance(f, p, 12, budget=3000).checks
-            with monkeypatch.context() as m:
-                m.setattr(oracle, "_INT64_SAFE_MODULUS", 3000)
-                assert verify_instance(f, p, 12, budget=10**5).checks == want
+            result = verify_instance(parse_poly(text), p, 40, budget=budget)
+            counted = [c.name for c in result.checks if c.name.startswith("count ")]
+            deepest = max(k for k in range(41) if p**k <= budget)
+            assert counted == [f"count k={k}" for k in range(deepest + 1)], (text, p)
+            assert p**deepest > 3037000499, (text, p)
+            assert result.all_pass, (text, p)
 
     def test_table_that_does_not_fit_is_a_budget_error(self, monkeypatch):
         # x^2 - 1 has 4 roots mod 2^k for k >= 3, so each level from 4 on
         # has 8 candidates; refusing 8 stops verify_instance at level 4.
-        monkeypatch.setattr(np, "zeros_like", _refusing(np.zeros_like, 8))
+        monkeypatch.setattr(oracle, "_next_level", _refusing(8))
         with pytest.raises(BudgetExceeded, match="an array of 8 residues"):
             verify_instance(parse_poly("x^2 - 1"), 2, 12, budget=10**5)
 
@@ -361,5 +375,5 @@ class TestResidueTable:
         f = parse_poly("x^3 - x^2 - x + 1")  # (x - 1)^2 (x + 1)
         assert brute_count(f, 3, 4) == 10  # 1 mod 9, and -1 mod 81
         assert _fmt_reps(brute_rep_roots(f, 3, 4)) == "1,0|2,2,2,2"
-        levels = [roots.tolist() for roots in oracle._root_levels(f, 3, 4)]
+        levels = list(oracle._root_levels(f, 3, 4))
         assert levels == [[x for x in range(3**k) if f(x) % 3**k == 0] for k in range(5)]

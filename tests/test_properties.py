@@ -1,9 +1,10 @@
-"""Property tests: the pipeline against the brute-force oracle, the lifting
-tree against a plain walk from the definitions and the branches against a
-deeper walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i,
-the discriminant valuation against its definition, the packed x^e mod (m, p)
-of the splitting backend against a schoolbook square-and-multiply, the F_p
-gcd against plain Euclid, compose_linear against the binomial expansion, and
+"""Property tests: the pipeline against the brute-force oracle, the
+oracle's root levels against the definition of a root, the lifting tree
+against a plain walk from the definitions and the branches against a deeper
+walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, the
+discriminant valuation against its definition, the packed x^e mod (m, p) of
+the splitting backend against a schoolbook square-and-multiply, the F_p gcd
+against plain Euclid, compose_linear against the binomial expansion, and
 parse_poly against IntPoly.to_text."""
 
 import math
@@ -24,7 +25,7 @@ from igusazeta.exactpoly import (
     valuation,
 )
 from igusazeta.igusa import _run_pipeline, discriminant_valuation, stability_threshold
-from igusazeta.oracle import verify_instance
+from igusazeta.oracle import _root_levels, verify_instance
 from igusazeta.padic import _fp_gcd, _fp_powmod, _fp_trim
 
 from reference_walk import assert_tree_matches
@@ -60,6 +61,29 @@ def test_series_holds_past_the_counts_it_was_built_from(instance):
         kmax = c + 4
     result = verify_instance(f, p, kmax, budget=10**3)
     assert result.all_pass, [x for x in result.checks if not x.passed]
+
+
+@st.composite
+def level_instances(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    # p-content, repeated roots that p often divides, and a cofactor with
+    # negative coefficients and a constant term that may exceed p^K.
+    f = IntPoly([draw(st.sampled_from([1, -1, 2, -3])) * p ** draw(st.integers(0, 3))])
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(-(p**3), p**3))
+        f = f * IntPoly([-a, 1]) ** draw(st.integers(1, 3))
+    cofactor = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=3))
+    cofactor[0] += draw(st.sampled_from([0, 0, 5000, -5000]))
+    return f * IntPoly(cofactor), p
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(level_instances())
+def test_root_levels_are_the_root_sets(instance):
+    f, p = instance
+    K = max(k for k in range(13) if p**k <= 4096)
+    want = [[x for x in range(p**k) if f(x) % p**k == 0] for k in range(K + 1)]
+    assert list(_root_levels(f, p, K)) == want
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)

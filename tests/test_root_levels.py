@@ -25,7 +25,7 @@ def _deepest(p):
 
 def _assert_levels_are_the_root_sets(f, p):
     K = _deepest(p)
-    levels = [roots.tolist() for roots in _root_levels(f, p, K)]
+    levels = list(_root_levels(f, p, K))
     want = [[x for x in range(p**k) if f(x) % p**k == 0] for k in range(K + 1)]
     assert levels == want, (f, p)
 
