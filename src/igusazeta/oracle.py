@@ -14,7 +14,7 @@ polynomials, so a fault in the tree cannot hide in it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -98,7 +98,9 @@ def _rep_roots(roots: list[int], p: int, k: int) -> list[RepRoot]:
     with _in_memory(len(roots)):  # the grouping of the roots allocates
         if roots:
             _decompose(roots, p, k, 0, (), reps)
-    return sorted((RepRoot(p=p, k=k, digits=d) for d in reps), key=lambda r: r.digits)
+    # _decompose visits the digits in increasing order, depth first, so the
+    # prefixes come out sorted.
+    return [RepRoot(p=p, k=k, digits=d) for d in reps]
 
 
 def _roots_mod(f: IntPoly, p: int, k: int, budget: int) -> list[int]:
@@ -193,8 +195,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _fraction_text(q: Fraction) -> str:
-    # str(q), exact at any size
+def _fraction_text(q: Fraction | int | str) -> str:
+    # str(q), exact at any size; a string is taken as already written
+    if isinstance(q, str):
+        return q
     text = decimal_text(q.numerator)
     return text if q.denominator == 1 else f"{text}/{decimal_text(q.denominator)}"
 
@@ -210,14 +214,16 @@ def verify_instance(
 ) -> VerificationReport:
     """Cross-check the pipeline against brute enumeration for one (f, p).
 
-    Compares root counts and representative roots for every k <= kmax that
-    _check_budget admits, the Poincare series coefficients up to kmax, and
+    Compares root counts and representative roots for every k <= kmax with
+    p^k within the budget, the Poincare series coefficients up to kmax, and
     the closed-form counts on the stable window.  Failures become report
-    entries, never exceptions.  p is checked first.  A budget below 1
-    enumerates nothing, so it raises BudgetExceeded.
+    entries, never exceptions, and every value is written exactly.  p is
+    checked first.  A budget below 1 enumerates nothing, so it raises
+    BudgetExceeded.
 
-    The brute-force side enumerates the root levels of f once, and those of
-    g once more when c > 0, taking each check from the level it needs.  The
+    The brute-force side is one pass over the root levels of f: each level
+    gives the count check, and the representative roots come from the same
+    level, or, when p | f, from the level of g enumerated alongside.  The
     library side is the report of (f, p) and the one lifting tree it is read
     from, walked deep enough to answer every precision checked.  With
     f = p^c * g, the representative roots and closed-form counts are those
@@ -226,56 +232,41 @@ def verify_instance(
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
     check_prime(p)
-    deepest = 0
     _check_budget(p, 0, budget)
-    with suppress(BudgetExceeded):
-        while deepest < kmax:
-            _check_budget(p, deepest + 1, budget)
-            deepest += 1
+    deepest = 0
+    while deepest < kmax and p ** (deepest + 1) <= budget:
+        deepest += 1
     checks: list[CheckResult] = []
+
+    def check(name: str, expected: Fraction | int | str, actual: Fraction | int | str) -> None:
+        checks.append(
+            CheckResult(name, _fraction_text(expected), _fraction_text(actual), expected == actual)
+        )
+
     c, g = content_and_primitive(f, p)
     result, tree = _run_pipeline(f, p, kmax)
     k0 = result.stable_precision
     counts = tree.counts()
 
+    f_levels = _root_levels(f, p, deepest)
+    g_levels = _root_levels(g, p, deepest) if c else None
     reps: list[str] = []  # the expected representative roots, by k
-    for k, roots in enumerate(_root_levels(f, p, deepest)):
-        expected, actual = len(roots), counts[k]
-        checks.append(
-            CheckResult(f"count k={k}", str(expected), str(actual), expected == actual)
-        )
-        if c == 0:
-            reps.append(_fmt_reps(_rep_roots(roots, p, k)))
-    if c > 0:
-        reps = [
-            _fmt_reps(_rep_roots(roots, p, k))
-            for k, roots in enumerate(_root_levels(g, p, deepest))
-        ]
+    for k, roots in enumerate(f_levels):
+        check(f"count k={k}", len(roots), counts[k])
+        reps.append(_fmt_reps(_rep_roots(next(g_levels) if c else roots, p, k)))
     for k in range(1, deepest + 1):
-        actual = _fmt_reps(tree.roots(c + k))
-        checks.append(
-            CheckResult(f"rep-roots k={k}", reps[k], actual, reps[k] == actual)
-        )
+        check(f"rep-roots k={k}", reps[k], _fmt_reps(tree.roots(c + k)))
 
     series = result.poincare.series(kmax)
     for k in range(kmax + 1):
-        want = Fraction(counts[k], p**k)
-        got = series[k]
-        checks.append(
-            CheckResult(f"series k={k}", _fraction_text(want), _fraction_text(got), want == got)
-        )
+        check(f"series k={k}", Fraction(counts[k], p**k), series[k])
 
     if g.degree >= 1:
         for k in range(k0, k0 + 2 * g.degree + 3):
-            expected = counts[c + k] // p**c
-            actual = closed_form_count(result.branches, p, k, k0)
-            checks.append(
-                CheckResult(
-                    f"closed-form k={k}",
-                    decimal_text(expected),
-                    decimal_text(actual),
-                    expected == actual,
-                )
+            check(
+                f"closed-form k={k}",
+                counts[c + k] // p**c,
+                closed_form_count(result.branches, p, k, k0),
             )
 
     return VerificationReport(

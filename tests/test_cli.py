@@ -283,6 +283,15 @@ class TestMain:
         assert "enumeration budget" in captured.err
         assert "all checks passed" not in captured.out
 
+    def test_verify_budget_help_names_the_default(self, capsys):
+        # the parser writes the default out, so that the CLI loads the oracle
+        # only for verify; the two must not drift apart
+        from igusazeta.oracle import DEFAULT_BUDGET
+
+        assert main(["verify", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"enumeration budget for p^k (default {DEFAULT_BUDGET})" in help_text
+
     def test_verify_decides_p_before_the_budget(self, capsys):
         argv = ["verify", "--poly", "x", "--prime", "4", "--kmax", "3", "--budget", "0"]
         assert main(argv) == 3

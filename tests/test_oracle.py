@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -5,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from igusazeta.errors import ArgumentError, BudgetExceeded
-from igusazeta.exactpoly import IntPoly
+from igusazeta.exactpoly import IntPoly, decimal_text
 from igusazeta import oracle, padic
 from igusazeta.exactpoly import content_and_primitive
-from igusazeta.igusa import root_count
+from igusazeta.igusa import report, root_count
 from igusazeta.oracle import (
     _fmt_reps,
     brute_count,
@@ -165,6 +166,15 @@ class TestBruteRepRoots:
                 seen |= residues
             assert seen == {x for x in range(m) if f(x) % m == 0}
 
+    def test_families_come_in_digit_order(self):
+        # (x - 2)^2 (x - 3)(x - 4)(x - 10) mod 3^4: four families of three
+        # lengths whose digits interleave; by the residue of their prefixes
+        # they would come 2, 3, 4, 10.
+        f = IntPoly([-2, 1]) ** 2 * IntPoly([-3, 1]) * IntPoly([-4, 1]) * IntPoly([-10, 1])
+        reps = brute_rep_roots(f, 3, 4)
+        assert [r.digits for r in reps] == [(0, 1, 0, 0), (1, 0, 1), (1, 1, 0), (2, 0)]
+        assert reps == representative_roots(f, 3, 4)
+
 
 class TestVerifyInstance:
     def test_fraction_text_past_the_int_string_limit(self):
@@ -177,6 +187,52 @@ class TestVerifyInstance:
             assert texts == [str(q) for q in qs]
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_library_count_past_the_int_string_limit_is_reported(self, monkeypatch):
+        # A tree whose counts are all off by 10^5000 fails the count, series
+        # and closed-form checks, and each failure writes its values exactly.
+        offset = 10**5000
+        run = oracle._run_pipeline
+
+        def off_by_offset(f, p, kmax):
+            result, tree = run(f, p, kmax)
+            counts = [n + offset for n in tree.counts()]
+            tree.counts = lambda: counts
+            return result, tree
+
+        monkeypatch.setattr(oracle, "_run_pipeline", off_by_offset)
+        f, p, kmax = parse_poly("x^2 - 1"), 2, 6
+        result = verify_instance(f, p, kmax)
+        checks = {c.name: c for c in result.checks}
+        for k in range(kmax + 1):
+            n = brute_count(f, p, k)
+            got = checks.pop(f"count k={k}")
+            assert (got.expected, got.actual, got.passed) == (
+                decimal_text(n), decimal_text(n + offset), False
+            )
+            got = checks.pop(f"series k={k}")
+            assert (got.expected, got.actual, got.passed) == (
+                oracle._fraction_text(Fraction(n + offset, p**k)),
+                oracle._fraction_text(Fraction(n, p**k)),
+                False,
+            )
+        k0 = report(f, p).stable_precision
+        for k in range(k0, k0 + 2 * f.degree + 3):
+            n = count_roots(f, p, k)
+            got = checks.pop(f"closed-form k={k}")
+            assert (got.expected, got.actual, got.passed) == (
+                decimal_text(n + offset), decimal_text(n), False
+            )
+        # the tree's representative roots are untouched
+        assert [c.name for c in checks.values()] == [f"rep-roots k={k}" for k in range(1, 7)]
+        assert all(c.passed for c in checks.values())
+        assert not result.all_pass
+        text = result.describe()
+        assert f"FAIL count k=0 expected=1 actual={decimal_text(1 + offset)}" in text
+        assert text.endswith("SOME CHECKS FAILED")
+        assert json.loads(json.dumps(result.to_json_dict()))["checks"][0]["actual"] == (
+            decimal_text(1 + offset)
+        )
 
     @pytest.mark.parametrize(
         "text,p",

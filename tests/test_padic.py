@@ -259,6 +259,32 @@ class TestSplittingBackend:
                 for e in (p, (p - 1) // 2):
                     assert padic._fp_powmod(base, e, m, p) == fp_powmod_schoolbook(base, e, m, p)
 
+    @pytest.mark.parametrize("p", [3, 1009, 1000003, 2**61 - 1])
+    def test_gcd_matches_sympy(self, p):
+        # sympy's gf_gcd writes the highest coefficient first
+        galoistools = pytest.importorskip("sympy.polys.galoistools")
+        from sympy import ZZ
+
+        rng = random.Random(p)
+
+        def poly(degree, lc=None):
+            return [rng.randrange(p) for _ in range(degree)] + [lc or rng.randrange(1, p)]
+
+        # zero arguments, then pairs with a planted common factor g and
+        # pairs of their cofactors; u has lc 2, so it is not monic above p = 2
+        cases = [([], [], []), ([], poly(3, 2), []), (poly(4, 2), [], []), (poly(0), poly(5), [])]
+        for _ in range(60):
+            g = poly(rng.randint(1, 4))
+            u, v = poly(rng.randint(0, 6), 2), poly(rng.randint(0, 6))
+            cases += [(_fp_mul(g, u, p), _fp_mul(g, v, p), g), (u, v, [])]
+        for a, b, g in cases:
+            saved = a[:], b[:]
+            want = [int(c) for c in galoistools.gf_gcd(a[::-1], b[::-1], p, ZZ)[::-1]]
+            assert padic._fp_gcd(a, b, p) == want, (a, b)
+            assert padic._fp_gcd(b, a, p) == want, (a, b)
+            assert (a, b) == saved
+            assert len(want) >= len(g)
+
     @pytest.mark.parametrize(
         "p, degrees, word",
         [

@@ -26,7 +26,7 @@ def clustered(draw):
     a0 = draw(st.integers(-(p**3), p**3))
     roots = []
     for _ in range(draw(st.integers(1, 3))):
-        b, m = draw(st.integers(-(p**2), p**2)), draw(st.integers(0, 12))
+        b, m = draw(st.integers(-(p**2), p**2)), draw(st.integers(0, 25))
         roots.append((a0 + b * p**m, draw(st.integers(1, 3))))
     f = IntPoly([u * p**c])
     for a, e in roots:
