@@ -26,10 +26,10 @@ from .exactpoly import (
     content_and_primitive,
     derivative,
     discriminant,
-    evaluate,
     poly_gcd,
     resultant,
     squarefree_part,
+    valuation,
 )
 from .padic import (
     RepRoot,
@@ -37,7 +37,6 @@ from .padic import (
     is_prime,
     representative_roots,
     roots_mod_p,
-    valuation,
 )
 from .ratfun import RationalFunction
 from .igusa import (

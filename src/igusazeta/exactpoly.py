@@ -145,7 +145,11 @@ class IntPoly:
         return result
 
     def __call__(self, a: int) -> int:
-        return evaluate(self, a)
+        """Exact value f(a) by Horner's rule."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * a + c
+        return acc
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
@@ -194,14 +198,6 @@ def _coerce(value) -> IntPoly | None:
 def derivative(f: IntPoly) -> IntPoly:
     """Formal derivative."""
     return IntPoly(i * c for i, c in enumerate(f.coeffs) if i >= 1)
-
-
-def evaluate(f: IntPoly, a: int) -> int:
-    """Exact value f(a) by Horner's rule."""
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = acc * a + c
-    return acc
 
 
 def compose_linear(f: IntPoly, a: int, b: int) -> IntPoly:

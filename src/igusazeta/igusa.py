@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError, InconsistentLengths, RegimeViolation
-from .exactpoly import IntPoly, content_and_primitive, decimal_text, discriminant, squarefree_part
-from .padic import _LiftingTree, _squarefree_mod_p, check_prime, count_roots, valuation
+from .exactpoly import (
+    IntPoly,
+    content_and_primitive,
+    decimal_text,
+    discriminant,
+    squarefree_part,
+    valuation,
+)
+from .padic import _LiftingTree, _squarefree_mod_p, check_prime, count_roots
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
 
@@ -105,22 +112,19 @@ def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[Branc
     that grow by one step e >= 1, the multiplicity.  Then nu = U_D - c - e*D
     must be >= 0, and k0 must lie on the chain: U_D - (c + k0) < e.
     """
-    kids: list[list[int]] = [[] for _ in tree.nodes]
-    for n, (parent, *_) in enumerate(tree.nodes[1:], 1):
-        kids[parent].append(n)
     branches = []
     for n in tree._at(c + k0):
         prefix = tree._digits(n)
         _, _, depth, top = tree.nodes[n]
         used = [top]
-        while used[-1] < tree.k and len(kids[n]) == 1:
-            n = kids[n][0]
+        while used[-1] < tree.k and len(tree.kids[n]) == 1:
+            n = tree.kids[n][0]
             used.append(tree.nodes[n][3])
         observed = f"prefix {prefix}, used precisions {', '.join(map(str, used))}"
         chain = {"prefix": prefix, "used": tuple(used)}
         if used[-1] < tree.k:
             raise InconsistentLengths(
-                f"{observed}: a chain node has {len(kids[n])} children below {tree.k}", **chain
+                f"{observed}: a chain node has {len(tree.kids[n])} children below {tree.k}", **chain
             )
         if len(used) < 2:
             raise InconsistentLengths(f"{observed}: fewer than two records on the chain", **chain)
@@ -261,14 +265,6 @@ class ZetaReport:
         """Number of p-adic root branches."""
         return len(self.branches)
 
-    @property
-    def numerator_degree(self) -> int | float:
-        return self.poincare.num.degree
-
-    @property
-    def denominator_degree(self) -> int | float:
-        return self.poincare.den.degree
-
     def to_json_dict(self) -> dict:
         return {
             "poly": self.poly.to_text(),
@@ -299,7 +295,7 @@ class ZetaReport:
             )
         lines.append(
             f"poincare: {self.poincare.to_text()}"
-            f"  [deg {self.numerator_degree} / deg {self.denominator_degree}]"
+            f"  [deg {self.poincare.num.degree} / deg {self.poincare.den.degree}]"
         )
         lines.append(f"zeta: {self.zeta.to_text()}")
         return "\n".join(lines)

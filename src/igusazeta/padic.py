@@ -6,9 +6,8 @@ remaining k - l digits.  The root set of f mod p^k is the disjoint union of
 at most deg(f) such families (plus possibly the single length-0 family when
 every residue is a root), which is what makes exact counting cheap even when
 p^k is astronomically large.  One lifting tree, walked to the deepest
-precision needed, holds these families for every shallower precision too.
-
-`valuation` lives in `exactpoly` and is re-exported here.
+precision needed, holds these families for every shallower precision too;
+its children are indexed once, as the walk records them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ArgumentError, IdenticallyZeroModP
-from .exactpoly import IntPoly, compose_linear, content_and_primitive, decimal_text, valuation
+from .exactpoly import IntPoly, compose_linear, content_and_primitive, decimal_text
 
 DEFAULT_SCAN_THRESHOLD = 1 << 16
 
@@ -424,8 +423,10 @@ class _LiftingTree:
         check_prime(p)
         self.p, self.k = p, k
         c, g = content_and_primitive(f, p)
-        # (parent, digit, depth, used precision) per node; parents come first
+        # (parent, digit, depth, used precision) per node; parents come first.
+        # kids[n]: node n's children, in digit order.
         self.nodes = [(-1, 0, 0, c)]
+        self.kids: list[list[int]] = [[]]
         stack = [(0, g)] if c < k else []
         while stack:
             node, g = stack.pop()
@@ -433,6 +434,8 @@ class _LiftingTree:
             for r in roots_mod_p(g, p):
                 v, h = content_and_primitive(compose_linear(g, r, p), p)
                 assert v >= 1, "substituting a root of g mod p must divide out p"
+                self.kids[node].append(len(self.nodes))
+                self.kids.append([])
                 self.nodes.append((node, r, depth + 1, used + v))
                 if used + v < k:
                     stack.append((len(self.nodes) - 1, h))
@@ -440,15 +443,9 @@ class _LiftingTree:
         # digits is a root.  A node whose p children are all covered at some
         # precision is covered there too, so the children merge into it.
         self.cover = [used for _, _, _, used in self.nodes]
-        kids = [0] * len(self.nodes)
-        kids_cover = [math.inf] * len(self.nodes)
         for n in range(len(self.nodes) - 1, -1, -1):
-            if kids[n] == p:
-                self.cover[n] = max(self.cover[n], kids_cover[n])
-            parent = self.nodes[n][0]
-            if parent >= 0:
-                kids[parent] += 1
-                kids_cover[parent] = min(kids_cover[parent], self.cover[n])
+            if len(self.kids[n]) == p:
+                self.cover[n] = max(self.cover[n], min(self.cover[m] for m in self.kids[n]))
         # Node n is the maximal representative root mod p^j exactly for j in
         # (below[n], cover[n]]: above its parent's cover (-1 at the root), up
         # to its own.

@@ -20,16 +20,6 @@ from .errors import ArgumentError, DivisionByZero, PoleAtZero
 from .exactpoly import IntPoly, decimal_text, exact_divide, poly_gcd
 
 
-def _as_int_poly(value) -> IntPoly:
-    if isinstance(value, IntPoly):
-        return value
-    if isinstance(value, int):
-        return IntPoly((value,))
-    if isinstance(value, (tuple, list)):
-        return IntPoly(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as an integer polynomial")
-
-
 class RationalFunction:
     """A reduced ratio of two integer polynomials in t."""
 
@@ -38,9 +28,10 @@ class RationalFunction:
     num: IntPoly
     den: IntPoly
 
-    def __init__(self, num, den=1):
-        num = _as_int_poly(num)
-        den = _as_int_poly(den)
+    def __init__(self, num: IntPoly, den: IntPoly = IntPoly((1,))):
+        for value in (num, den):
+            if not isinstance(value, IntPoly):
+                raise TypeError(f"cannot interpret {type(value).__name__} as an integer polynomial")
         if den.is_zero:
             raise DivisionByZero("zero denominator")
         if num.is_zero:
@@ -63,10 +54,6 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
@@ -76,7 +63,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"RationalFunction({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
+        return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def series(self, order: int) -> list[Fraction]:
         """Maclaurin coefficients c_0 .. c_order, by the linear recurrence

@@ -371,7 +371,7 @@ class TestMain:
         again = report(f, p).to_json_dict()
         assert json.dumps(again) == text.strip()
         num, den = ([int(c) for c in data["zeta"][k]] for k in ("num", "den"))
-        zeta = RationalFunction(num, den)
+        zeta = RationalFunction(IntPoly(num), IntPoly(den))
         assert zeta.to_json_dict() == data["zeta"]
 
     def test_report_constant(self, capsys):

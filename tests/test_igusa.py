@@ -186,6 +186,13 @@ class TestExtractBranches:
         assert extract_branches(f, p) == extract_branches(g, p)
 
 
+def _index_children(tree):
+    """Rebuild tree.kids from the node records, after they were edited."""
+    tree.kids = [[] for _ in tree.nodes]
+    for n, (parent, *_) in enumerate(tree.nodes[1:], 1):
+        tree.kids[parent].append(n)
+
+
 class _FakeTree(_LiftingTree):
     """Fabricated node records (parent, digit, depth, used) at p = 2, walked
     to precision 12, for a degree-2 primitive part with c = 0 and k0 = 7.
@@ -204,6 +211,7 @@ class _FakeTree(_LiftingTree):
             self.tops.append(parent)
             for depth, u in enumerate(used[1:], len(prefix) + 1):
                 self.nodes.append((len(self.nodes) - 1, 1, depth, u))
+        _index_children(self)
 
     def _at(self, k):
         assert k == 7
@@ -224,6 +232,7 @@ class TestInconsistentLengths:
         # the chain splits in two at depth 4, below the top at depth 3
         tree = _FakeTree(((1, 1, 1), (7, 9, 11, 13)))
         tree.nodes.append((4, 0, 5, 11))
+        _index_children(tree)
         with pytest.raises(InconsistentLengths, match="used precisions 7, 9: a chain node has 2"):
             _branches_of(tree)
 
@@ -268,6 +277,7 @@ class TestInconsistentLengths:
         # the node at precision 7 has two children
         tree = _FakeTree(((1,), (7, 8)))
         tree.nodes.append((1, 0, 2, 8))
+        _index_children(tree)
         with pytest.raises(InconsistentLengths, match="used precisions 7: a chain node has 2"):
             _branches_of(tree)
 
@@ -284,6 +294,7 @@ class TestInconsistentLengths:
         _, digit, depth, used = tree.nodes[-1]
         assert (depth, used) == (11, 12)
         tree.nodes[-1] = (0, digit, depth, used)
+        _index_children(tree)
         with pytest.raises(InconsistentLengths) as err:
             _branches_of(tree)
         assert str(err.value) == (
@@ -483,8 +494,8 @@ class TestZetaFunction:
             assert zeta_function(X2, p) == RF(IntPoly([p - 1]), IntPoly([p, 0, -1]))
 
     def test_unit_constant(self):
-        assert zeta_function(IntPoly([1]), 5) == RF(1)
-        assert zeta_function(IntPoly([1]), 2) == RF(1)
+        assert zeta_function(IntPoly([1]), 5) == RF(IntPoly([1]))
+        assert zeta_function(IntPoly([1]), 2) == RF(IntPoly([1]))
 
 
 class TestReport:
@@ -505,8 +516,8 @@ class TestReport:
     def test_rootless(self):
         r = report(IntPoly([1, 0, 1]), 3)
         assert r.n == 0
-        assert r.poincare == RF(1)
-        assert r.zeta == RF(1)
+        assert r.poincare == RF(IntPoly([1]))
+        assert r.zeta == RF(IntPoly([1]))
 
     def test_builds_one_lifting_tree(self, monkeypatch):
         from igusazeta import padic

@@ -5,7 +5,7 @@ import pytest
 
 from igusazeta import padic
 from igusazeta.errors import ArgumentError, IdenticallyZeroModP, ZetaError
-from igusazeta.exactpoly import IntPoly, content_and_primitive
+from igusazeta.exactpoly import IntPoly, content_and_primitive, valuation
 from igusazeta.igusa import report, stability_threshold
 from igusazeta.oracle import brute_count, brute_rep_roots
 from igusazeta.padic import (
@@ -17,7 +17,6 @@ from igusazeta.padic import (
     is_prime,
     representative_roots,
     roots_mod_p,
-    valuation,
 )
 
 from corpus import CORPUS
@@ -436,6 +435,10 @@ class TestLiftingTree:
         (2, 3, 1, 2),
     ]
 
+    # prod_{j<p} (x - 1 - j*p^m): p simple roots that share their first m
+    # digits, so the node of those digits has p children and merges them
+    CLUSTERS = [(p, m) for p in (2, 3) for m in range(1, 5)] + [(5, 1), (5, 2)]
+
     @staticmethod
     def _instances():
         for text, p in CORPUS:
@@ -444,6 +447,19 @@ class TestLiftingTree:
                 yield f, p
         for e, p, a, c in TestLiftingTree.TEMPLATES:
             yield p**c * IntPoly([-(p ** (e * a))] + [0] * (e - 1) + [1]), p
+
+    @staticmethod
+    def _assert_children_and_cover(tree):
+        # kids[n] lists the nodes whose parent is n, in increasing order and
+        # with increasing digits; only a node with p children is covered past
+        # its own used precision
+        parents = [parent for parent, *_ in tree.nodes]
+        for n, kids in enumerate(tree.kids):
+            assert kids == [m for m in range(n + 1, len(parents)) if parents[m] == n]
+            digits = [tree.nodes[m][1] for m in kids]
+            assert digits == sorted(set(digits))
+            if tree.cover[n] > tree.nodes[n][3]:
+                assert len(kids) == tree.p, n
 
     def test_walking_deeper_never_changes_a_shallower_answer(self):
         # One reference walk per k: the count mod p^k is the total size of the
@@ -462,6 +478,28 @@ class TestLiftingTree:
     def test_matches_the_plain_walk_past_the_brute_force_budget(self):
         for f, p in self._instances():
             assert_tree_matches(f, p)
+
+    @pytest.mark.parametrize("text, p", [("x^20 - 1", 3), ("x^16 - 1", 5)])
+    def test_matches_the_plain_walk_at_high_degree(self, text, p):
+        f = parse_poly(text)
+        assert report(f, p).disc_valuation == 0
+        assert_tree_matches(f, p)
+
+    def test_children_are_indexed_once_in_digit_order(self):
+        for f, p in self._instances():
+            c, g = content_and_primitive(f, p)
+            top = c + stability_threshold(g, p) + 2 * g.degree + 1
+            self._assert_children_and_cover(_LiftingTree(f, p, top))
+
+    @pytest.mark.parametrize("p, m", CLUSTERS)
+    def test_planted_cluster_merges_at_its_depth(self, p, m):
+        f = math.prod((IntPoly([-1 - j * p**m, 1]) for j in range(p)), start=IntPoly([1]))
+        tree = _LiftingTree(f, p, p * m + 2)
+        self._assert_children_and_cover(tree)
+        nodes = zip(tree.nodes, tree.cover)
+        merged = [depth for (_, _, depth, used), cover in nodes if cover > used]
+        assert merged == [m]
+        assert_tree_matches(f, p)
 
     def test_rejects_precision_beyond_its_walk(self):
         tree = _LiftingTree(IntPoly([-1, 0, 1]), 2, 5)

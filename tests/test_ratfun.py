@@ -44,7 +44,7 @@ class TestCanonicalForm:
 
     def test_zero(self):
         r = RF(IntPoly(), IntPoly([3, 1]))
-        assert r.is_zero
+        assert r.num.is_zero
         assert r.den == IntPoly([1])
 
     def test_zero_denominator_rejected(self):
@@ -56,8 +56,17 @@ class TestCanonicalForm:
             RF(IntPoly([1])).num = IntPoly([2])
 
     def test_rejects_what_is_not_a_polynomial(self):
-        with pytest.raises(TypeError, match="cannot interpret str"):
-            RF("t")
+        for num, den, name in [
+            ("t", IntPoly([1]), "str"),
+            (1, IntPoly([1]), "int"),
+            (IntPoly([1]), [1, -1], "list"),
+        ]:
+            with pytest.raises(TypeError, match=f"cannot interpret {name}"):
+                RF(num, den)
+
+    def test_repr_builds_an_equal_value(self):
+        r = RF(IntPoly([2, 1]), IntPoly([2, 0, -1]))
+        assert eval(repr(r), {"RationalFunction": RF, "IntPoly": IntPoly}) == r
 
 
 class TestSeries:
@@ -86,7 +95,7 @@ class TestSeries:
 
     def test_negative_order_rejected(self):
         with pytest.raises(ArgumentError, match="order must be nonnegative"):
-            RF(1).series(-1)
+            RF(IntPoly([1])).series(-1)
 
 
 class TestSerialization:
@@ -104,6 +113,6 @@ class TestSerialization:
         for _ in range(50):
             r = rand_rf(rng)
             data = json.loads(json.dumps(r.to_json_dict()))
-            back = RF([int(c) for c in data["num"]], [int(c) for c in data["den"]])
+            back = RF(*(IntPoly(int(c) for c in data[k]) for k in ("num", "den")))
             assert back == r
             assert back.to_json_dict() == r.to_json_dict()
