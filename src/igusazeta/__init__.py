@@ -2,8 +2,9 @@
 roots, Poincare series, and Igusa local zeta functions of integer univariate
 polynomials, with a built-in brute-force oracle for verification.
 
-All arithmetic is exact (arbitrary-precision integers and rationals); no
-floating point is used anywhere in the computation.
+All arithmetic is exact (arbitrary-precision integers and rationals).  The
+only floats are two sentinels: IntPoly().degree is -inf and valuation(0, p)
+is inf.
 """
 
 from .errors import (

@@ -2,7 +2,22 @@
 
 
 class ZetaError(Exception):
-    """Base class for every domain error raised by this package."""
+    """Base class for every domain error raised by this package.
+
+    Besides the message, an error carries what was observed: each name in
+    its class's `observed` is an attribute, set from the keyword of that
+    name and None when it is not given.  Any other keyword is a TypeError.
+    """
+
+    observed: tuple[str, ...] = ()
+
+    def __init__(self, message: str, **values):
+        for name in values:
+            if name not in self.observed:
+                raise TypeError(f"{type(self).__name__} got an unexpected keyword {name!r}")
+        super().__init__(message)
+        for name in self.observed:
+            setattr(self, name, values.get(name))
 
 
 class ArgumentError(ZetaError, ValueError):
@@ -28,26 +43,13 @@ class InconsistentLengths(ZetaError):
     """A branch's chain in the lifting tree, or the root counts, break the ceiling law.
 
     This signals an internal bug rather than bad input; it is raised
-    instead of being silently patched over.  Besides the message it carries
-    what was observed; an attribute that does not apply is None.
+    instead of being silently patched over.  Of what it observed,
     `prefix` and `used` are a chain's digit prefix and the used precisions
     along it, `multiplicities` the branch multiplicities, `degree` the
     degree they must not exceed, and `counts` the root counts N_0 .. N_k.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        prefix: tuple[int, ...] | None = None,
-        used: tuple[int, ...] | None = None,
-        multiplicities: tuple[int, ...] | None = None,
-        degree: int | None = None,
-        counts: tuple[int, ...] | None = None,
-    ):
-        super().__init__(message)
-        self.prefix, self.used = prefix, used
-        self.multiplicities, self.degree, self.counts = multiplicities, degree, counts
+    observed = ("prefix", "used", "multiplicities", "degree", "counts")
 
 
 class RegimeViolation(ZetaError):
@@ -68,32 +70,23 @@ class BudgetExceeded(ZetaError):
     It is raised before anything is allocated when p^k exceeds the caller's
     budget.  It replaces the MemoryError raised when one level of candidate
     residues, or the grouping of its roots, does not fit in memory.
-    Besides the message it carries what was observed: `modulus` (p^k) and
-    `limit` (the budget) for a refusal, or `size` (the level's number of
-    candidates, or of roots) for a level that did not fit; the others are
-    None.
+    Of what it observed, `modulus` (p^k) and `limit` (the budget) are given
+    for a refusal, and `size` (the level's number of candidates, or of
+    roots) for a level that did not fit.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        modulus: int | None = None,
-        limit: int | None = None,
-        size: int | None = None,
-    ):
-        super().__init__(message)
-        self.modulus, self.limit, self.size = modulus, limit, size
+    observed = ("modulus", "limit", "size")
 
 
 class ParseError(ZetaError):
     """Polynomial syntax error. `position` is a 0-based index into the input string."""
 
+    observed = ("position",)
+
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
             message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
+        super().__init__(message, position=position)
 
 
 class VariableError(ParseError):

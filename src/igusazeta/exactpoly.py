@@ -2,8 +2,9 @@
 
 Polynomials are dense: index i of the coefficient sequence holds the
 coefficient of x^i, the entry of highest index is nonzero, and the zero
-polynomial stores no coefficients at all.  All arithmetic is exact; no
-floating point is used anywhere.
+polynomial stores no coefficients at all.  All arithmetic is exact.  The
+only floats are two sentinels: the zero polynomial's degree is -inf and
+valuation(0, p) is inf.
 """
 
 from __future__ import annotations

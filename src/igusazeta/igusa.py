@@ -107,14 +107,13 @@ def extract_branches(f: IntPoly, p: int) -> list[BranchParams]:
 def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[BranchParams]:
     """The branches of g, where f = p^c * g and g has degree d, read off the
     lifting tree of f: one per maximal representative root at precision
-    c + k0, sorted by prefix.  Below such a node at depth D, the chain of
+    c + k0, in prefix order.  Below such a node at depth D, the chain of
     single children to the tree's limit has used precisions U_D, U_(D+1), ...
     that grow by one step e >= 1, the multiplicity.  Then nu = U_D - c - e*D
     must be >= 0, and k0 must lie on the chain: U_D - (c + k0) < e.
     """
     branches = []
-    for n in tree._at(c + k0):
-        prefix = tree._digits(n)
+    for n, prefix in tree._at(c + k0):
         _, _, depth, top = tree.nodes[n]
         used = [top]
         while used[-1] < tree.k and len(tree.kids[n]) == 1:
@@ -146,7 +145,7 @@ def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[Branc
             multiplicities=tuple(b.multiplicity for b in branches),
             degree=d,
         )
-    return sorted(branches, key=lambda b: b.prefix)
+    return branches
 
 
 def closed_form_count(

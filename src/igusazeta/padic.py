@@ -7,7 +7,8 @@ at most deg(f) such families (plus possibly the single length-0 family when
 every residue is a root), which is what makes exact counting cheap even when
 p^k is astronomically large.  One lifting tree, walked to the deepest
 precision needed, holds these families for every shallower precision too;
-its children are indexed once, as the walk records them.
+its children are indexed once, as the walk records them, and its readers
+descend that index in digit order.
 """
 
 from __future__ import annotations
@@ -441,46 +442,49 @@ class _LiftingTree:
                     stack.append((len(self.nodes) - 1, h))
         # cover[n]: the largest precision at which every extension of node n's
         # digits is a root.  A node whose p children are all covered at some
-        # precision is covered there too, so the children merge into it.
+        # precision is covered there too, so the children merge into it.  A
+        # child's cover is never below its parent's, so node n is the maximal
+        # representative root mod p^j exactly for j in (cover[parent], cover[n]].
         self.cover = [used for _, _, _, used in self.nodes]
         for n in range(len(self.nodes) - 1, -1, -1):
             if len(self.kids[n]) == p:
                 self.cover[n] = max(self.cover[n], min(self.cover[m] for m in self.kids[n]))
-        # Node n is the maximal representative root mod p^j exactly for j in
-        # (below[n], cover[n]]: above its parent's cover (-1 at the root), up
-        # to its own.
-        self.below = [self.cover[parent] if parent >= 0 else -1 for parent, *_ in self.nodes]
 
-    def _at(self, k: int) -> list[int]:
-        """The nodes that are the maximal representative roots mod p^k."""
+    def _at(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
+        """The maximal representative roots mod p^k, as (node, digits) pairs
+        in digit-string order: the descent follows kids from the root, lowest
+        digit first, and stops on each path at the first node covered at k.
+        """
         if not 1 <= k <= self.k:
             raise ArgumentError(f"precision {k} is outside 1..{self.k} of this tree")
-        intervals = zip(self.below, self.cover)
-        return [n for n, (below, cover) in enumerate(intervals) if below < k <= cover]
+        out, path, stack = [], [], [0]
+        while stack:
+            n = stack.pop()
+            _, digit, depth, _ = self.nodes[n]
+            # path[j]: the digit at depth j on the way to n (0 at the root)
+            path[depth:] = [digit]
+            if self.cover[n] >= k:
+                out.append((n, tuple(path[1:])))
+            else:
+                stack += reversed(self.kids[n])
+        return out
 
     def roots(self, k: int) -> list[RepRoot]:
         """The maximal representative roots mod p^k, sorted by digit string."""
-        reps = [RepRoot(p=self.p, k=k, digits=self._digits(n)) for n in self._at(k)]
-        return sorted(reps, key=lambda r: r.digits)
+        return [RepRoot(p=self.p, k=k, digits=digits) for _, digits in self._at(k)]
 
     def counts(self) -> list[int]:
         """N_0 .. N_k: the number of roots mod p^j for every j <= k.
 
         One sweep adds each node to the counts of the precisions in its
-        interval.
+        interval, from its parent's cover (-1 at the root) up to its own.
         """
         out = [0] * (self.k + 1)
-        for (_, _, depth, _), below, cover in zip(self.nodes, self.below, self.cover):
+        for (parent, _, depth, _), cover in zip(self.nodes, self.cover):
+            below = self.cover[parent] if parent >= 0 else -1
             for j in range(below + 1, min(cover, self.k) + 1):
                 out[j] += self.p ** (j - depth)
         return out
-
-    def _digits(self, n: int) -> tuple[int, ...]:
-        out = []
-        while n > 0:
-            n, digit, _, _ = self.nodes[n]
-            out.append(digit)
-        return tuple(reversed(out))
 
 
 def representative_roots(f: IntPoly, p: int, k: int) -> list[RepRoot]:

@@ -84,8 +84,8 @@ class RationalFunction:
             out.append(s / den[0])
         return out
 
-    def to_text(self, var: str = "t") -> str:
-        return f"({self.num.to_text(var)}) / ({self.den.to_text(var)})"
+    def to_text(self) -> str:
+        return f"({self.num.to_text('t')}) / ({self.den.to_text('t')})"
 
     def to_json_dict(self) -> dict:
         return {

@@ -208,7 +208,7 @@ class _FakeTree(_LiftingTree):
             for depth, digit in enumerate(prefix, 1):
                 self.nodes.append((parent, digit, depth, used[0]))
                 parent = len(self.nodes) - 1
-            self.tops.append(parent)
+            self.tops.append((parent, tuple(prefix)))
             for depth, u in enumerate(used[1:], len(prefix) + 1):
                 self.nodes.append((len(self.nodes) - 1, 1, depth, u))
         _index_children(self)
@@ -240,10 +240,6 @@ class TestInconsistentLengths:
         # used 7, 9, 11, 13 from depth 3: e = 2, nu = 7 - 2*3 = 1
         (b,) = _branches_of(_FakeTree(((0, 1, 1), (7, 9, 11, 13))))
         assert (b.multiplicity, b.valuation, b.k_align, b.prefix) == (2, 1, 7, (0, 1, 1))
-
-    def test_branches_are_sorted_by_prefix(self):
-        tree = _FakeTree(((1, 1, 1), (7, 9, 11, 13)), ((0, 1, 1), (7, 9, 11, 13)))
-        assert [b.prefix for b in _extract_branches(tree, 0, 4, 7)] == [(0, 1, 1), (1, 1, 1)]
 
     @pytest.mark.parametrize(
         "used",
@@ -550,6 +546,11 @@ def _instances():
 
 
 class TestPipelineInvariants:
+    def test_branches_are_sorted_by_prefix(self):
+        for f, p in _instances():
+            prefixes = [b.prefix for b in report(f, p).branches]
+            assert all(a < b for a, b in zip(prefixes, prefixes[1:])), (f, p, prefixes)
+
     def test_series_matches_counts(self):
         for f, p in _instances():
             _, g = content_and_primitive(f, p)

@@ -485,6 +485,22 @@ class TestLiftingTree:
         assert report(f, p).disc_valuation == 0
         assert_tree_matches(f, p)
 
+    def test_descent_yields_each_node_with_its_digits_in_increasing_order(self):
+        # the order of roots(k) and of a report's branches is the descent's own
+        for f, p in self._instances():
+            c, g = content_and_primitive(f, p)
+            tree = _LiftingTree(f, p, c + stability_threshold(g, p) + 2 * g.degree + 1)
+            for k in range(1, tree.k + 1):
+                found = tree._at(k)
+                for n, digits in found:
+                    path = []
+                    while n > 0:
+                        n, digit, _, _ = tree.nodes[n]
+                        path.append(digit)
+                    assert tuple(reversed(path)) == digits, (f, p, k)
+                strings = [digits for _, digits in found]
+                assert all(a < b for a, b in zip(strings, strings[1:])), (f, p, k)
+
     def test_children_are_indexed_once_in_digit_order(self):
         for f, p in self._instances():
             c, g = content_and_primitive(f, p)
