@@ -70,23 +70,30 @@ def discriminant_valuation(f: IntPoly, p: int) -> int:
     Finite for every nonzero f of degree >= 1, since the squarefree part has
     nonzero discriminant.  The content of f, p-power or not, is ignored:
     discriminant_valuation(2x^2 + 2, 2) is 2, the valuation for x^2 + 1.
-
-    When p does not divide lc(f) and f mod p is squarefree, the answer is 0
-    and no integer discriminant is computed: Res(f, f') mod p is a unit times
-    Res(f mod p, f' mod p), which is nonzero.  Otherwise a squarefree f is
-    its own squarefree part up to content, and exactly then its discriminant
-    is nonzero; only the rest needs the gcd(f, f').
     A p that is not a prime raises ArgumentError, checked first.
+    """
+    return _discriminant_valuation(f, p)[0]
+
+
+def _discriminant_valuation(f: IntPoly, p: int) -> tuple[int, bool]:
+    """discriminant_valuation(f, p), and whether p does not divide lc(f) and
+    f mod p is squarefree, which the pipeline also needs.
+
+    In that case the answer is 0 and no integer discriminant is computed:
+    Res(f, f') mod p is a unit times Res(f mod p, f' mod p), which is
+    nonzero.  Otherwise a squarefree f is its own squarefree part up to
+    content, and exactly then its discriminant is nonzero; only the rest
+    needs the gcd(f, f').  p is checked to be a prime first.
     """
     check_prime(p)
     if _squarefree_mod_p(f, p):
-        return 0
+        return 0, True
     d = discriminant(f.primitive())
     if d == 0:
         d = discriminant(squarefree_part(f))
     v = valuation(d, p)
     assert v != float("inf")
-    return int(v)
+    return int(v), False
 
 
 def stability_threshold(f: IntPoly, p: int) -> int:
@@ -173,21 +180,28 @@ def _run_pipeline(
     """The report of f = p^c * g and the one lifting tree of f it is read
     from: the branches of g from the chains of the tree's maximal
     representative roots at precision c + k0, each checked down to the
-    tree's limit, and P and Z from the root counts below T = c + k0 + 2d
-    (d the degree of g).
+    tree's limit, and P and Z from the root counts below T = c + k0 + 2m,
+    where m bounds the branch multiplicities.
+    In general m = d, the degree of g.  When p does not divide lc(g) and
+    g mod p is squarefree, every root mod p is simple, so by Hensel's lemma
+    every branch has e = 1 and m = 1: den0 * P then has degree below
+    c + k0 + 2, and every chain's top is at exactly c + k0, so the walk to
+    T + 1 still leaves each chain 4 records and the fit check 2 coefficients.
     For a constant g, T = c + 2: then P = 1 + t + ... + t^c, so den0 * P has
     degree c + 1 below T.  The tree is walked to T + 1, or with kmax to
-    max(c + kmax, T + 2): every precision verify_instance checks.
+    max(c + kmax, c + k0 + 2d + 2), c + 4 for a constant g: every precision
+    verify_instance checks.
     """
     c, g = content_and_primitive(f, p)
     delta = k0 = None
     branches = ()
-    top = c + 2
+    top = full = c + 2
     if g.degree >= 1:
-        delta = discriminant_valuation(g, p)
+        delta, simple = _discriminant_valuation(g, p)
         k0 = g.degree * (delta + 1) + 1
-        top = c + k0 + 2 * g.degree
-    tree = _LiftingTree(f, p, top + 1 if kmax is None else max(c + kmax, top + 2))
+        full = c + k0 + 2 * g.degree
+        top = c + k0 + 2 if simple else full
+    tree = _LiftingTree(f, p, top + 1 if kmax is None else max(c + kmax, full + 2))
     if k0 is not None:
         branches = tuple(_extract_branches(tree, c, g.degree, k0))
     poincare, zeta = _poincare_and_zeta(

@@ -540,6 +540,50 @@ class TestReport:
         assert r.poincare == RF(IntPoly([1, 1, 1]))
 
 
+class TestWalkDepth:
+    # delta = 0 does not make the roots mod p simple: p may divide neither the
+    # discriminant of the squarefree part nor lc(f) while f mod p has a square
+    # factor.  Such a report walks to c + k0 + 2d + 1; only f squarefree mod p
+    # bounds every multiplicity by 1 and the walk by c + k0 + 3.
+    @pytest.mark.parametrize(
+        "f, p, branches",
+        [
+            ((X - 1) ** 3, 3, [(3, 0)]),
+            (X**4, 2, [(4, 0)]),
+            ((X - 1) ** 2 * (X + 1), 5, [(2, 0), (1, 0)]),
+        ],
+    )
+    def test_delta_zero_with_a_multiple_root_walks_the_full_depth(self, f, p, branches):
+        result, tree = _run_pipeline(f, p)
+        assert result.disc_valuation == 0
+        assert [(b.multiplicity, b.valuation) for b in result.branches] == branches
+        assert tree.k == result.content_shift + result.stable_precision + 2 * f.degree + 1
+
+    @pytest.mark.parametrize("f, p", [(X2 - 2, 7), (7 * X2 - 14, 7)])
+    def test_squarefree_mod_p_walks_three_levels_past_c_plus_k0(self, f, p):
+        result, tree = _run_pipeline(f, p)
+        c, k0 = result.content_shift, result.stable_precision
+        assert [(b.multiplicity, b.valuation) for b in result.branches] == [(1, 0), (1, 0)]
+        assert tree.k == c + k0 + 3
+        assert result == _run_pipeline(f, p, kmax=k0 + 2 * f.degree + 2)[0]
+
+    def test_mod_p_squarefree_test_runs_once_per_report(self, monkeypatch):
+        calls = []
+        squarefree_mod_p = igusa._squarefree_mod_p
+
+        def counting(f, p):
+            calls.append((f, p))
+            return squarefree_mod_p(f, p)
+
+        monkeypatch.setattr(igusa, "_squarefree_mod_p", counting)
+        for text, p in [("x^2 - 2", 7), ("x^2 - 1", 2), ("49*x^2 - 98", 7), ("12", 2)]:
+            calls.clear()
+            f = parse_poly(text)
+            report(f, p)
+            constant = content_and_primitive(f, p)[1].degree == 0
+            assert len(calls) == (0 if constant else 1), (text, p)
+
+
 def _instances():
     for text, p in CORPUS:
         yield parse_poly(text), p

@@ -2,6 +2,7 @@
 oracle's root levels against the definition of a root, the lifting tree
 against a plain walk from the definitions and the branches against a deeper
 walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, the
+report of an f squarefree mod p against the full-depth walk, the
 discriminant valuation against its definition, the packed x^e mod (m, p) of
 the splitting backend against a schoolbook square-and-multiply, the F_p gcd
 against plain Euclid, compose_linear against the binomial expansion, and
@@ -13,7 +14,7 @@ import re
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from igusazeta.cli import parse_poly
 from igusazeta.exactpoly import (
@@ -24,9 +25,14 @@ from igusazeta.exactpoly import (
     squarefree_part,
     valuation,
 )
-from igusazeta.igusa import _run_pipeline, discriminant_valuation, stability_threshold
+from igusazeta.igusa import (
+    _poincare_and_zeta,
+    _run_pipeline,
+    discriminant_valuation,
+    stability_threshold,
+)
 from igusazeta.oracle import _root_levels, verify_instance
-from igusazeta.padic import _fp_gcd, _fp_powmod, _fp_trim
+from igusazeta.padic import _fp_gcd, _fp_powmod, _fp_trim, _squarefree_mod_p
 
 from reference_walk import assert_tree_matches
 from test_padic import LARGE_PRIMES, _fp_mul, fp_powmod_schoolbook
@@ -55,7 +61,7 @@ def test_series_holds_past_the_counts_it_was_built_from(instance):
     f, p = instance
     c, g = content_and_primitive(f, p)
     if g.degree >= 1:
-        # P is read off N_0 .. N_(c + k0 + 2d + 1); check well beyond that.
+        # P is read off N_0 .. N_(c + k0 + 2d + 1) at most; check well beyond that.
         kmax = c + stability_threshold(g, p) + 4 * g.degree
     else:
         kmax = c + 4
@@ -99,6 +105,43 @@ def test_branches_do_not_depend_on_walk_depth(instance, kmax):
     # is checked down to the tree's limit, not only near k0.
     f, p = instance
     assert _run_pipeline(f, p)[0].branches == _run_pipeline(f, p, kmax)[0].branches
+
+
+@st.composite
+def simple_instances(draw):
+    # f = p^j * g with g squarefree mod p: a dense g, or a product of linear
+    # factors distinct mod p, each root a random lift of its residue.
+    p = draw(st.sampled_from([2, 3, 101, 1000003]))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 8))
+        low = draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d))
+        g = IntPoly(low + [draw(st.integers(1, 10**6).filter(lambda a: a % p))])
+    else:
+        g = IntPoly([draw(st.sampled_from([1, -1, 5]))])
+        residues = st.lists(st.integers(0, p - 1), min_size=1, max_size=min(p, 6), unique=True)
+        for r in draw(residues):
+            g = g * IntPoly([-(r + p * draw(st.integers(-(10**4), 10**4))), 1])
+    assume(_squarefree_mod_p(g, p))
+    return p ** draw(st.integers(0, 3)) * g, p
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(simple_instances())
+def test_squarefree_mod_p_report_matches_the_full_depth_walk(instance):
+    # Every multiplicity is 1, so the report walks to c + k0 + 3 only; a walk
+    # to c + k0 + 2d + 2, read with the general top c + k0 + 2d, gives the
+    # same branches (prefixes included), P and Z.
+    f, p = instance
+    result, tree = _run_pipeline(f, p)
+    c, k0, d = result.content_shift, result.stable_precision, f.degree
+    assert tree.k == c + k0 + 3
+    deep, deep_tree = _run_pipeline(f, p, kmax=k0 + 2 * d + 2)
+    assert deep_tree.k == c + k0 + 2 * d + 2
+    assert result.branches == deep.branches
+    multiplicities = {b.multiplicity for b in deep.branches}
+    assert multiplicities <= {1}
+    full = _poincare_and_zeta(p, deep_tree.counts(), multiplicities, c + k0 + 2 * d)
+    assert (result.poincare, result.zeta) == (deep.poincare, deep.zeta) == full
 
 
 @st.composite
