@@ -40,16 +40,18 @@ class IdenticallyZeroModP(ZetaError):
 
 
 class InconsistentLengths(ZetaError):
-    """A branch's chain in the lifting tree, or the root counts, break the ceiling law.
+    """A branch's chain in the lifting tree breaks the ceiling law, a digit
+    the tree substitutes is no root mod p, or a squarefree part has
+    discriminant 0.
 
     This signals an internal bug rather than bad input; it is raised
     instead of being silently patched over.  Of what it observed,
     `prefix` and `used` are a chain's digit prefix and the used precisions
-    along it, `multiplicities` the branch multiplicities, `degree` the
-    degree they must not exceed, and `counts` the root counts N_0 .. N_k.
+    along it, `multiplicities` the branch multiplicities, and `degree` the
+    degree they must not exceed.
     """
 
-    observed = ("prefix", "used", "multiplicities", "degree", "counts")
+    observed = ("prefix", "used", "multiplicities", "degree")
 
 
 class RegimeViolation(ZetaError):

@@ -1,11 +1,12 @@
 """Main pipeline: branch parameters, closed-form root counts, Poincare series,
 and the Igusa local zeta function of an integer univariate polynomial at a prime.
 
-The computation never factors anything over the p-adic integers.  Each p-adic
-root branch of f is read off the lifting tree: past the stability threshold
-it is a chain of single children, and the used precision grows by the same
-step at every level of the chain.  That step is the branch's multiplicity,
-and the chain's top record gives its value valuation.
+The computation never factors anything over the p-adic integers.  For
+f = p^c * g the lifting tree is walked to c + k0, k0 the stability threshold
+of g.  Each p-adic root branch is read off it: a chain of single children
+whose used precision grows by the same step at every level.  That step is
+the branch's multiplicity, and the chain's top record gives its valuation.
+P is the root counts below c + k0 plus one geometric tail per branch.
 """
 
 from __future__ import annotations
@@ -71,29 +72,21 @@ def discriminant_valuation(f: IntPoly, p: int) -> int:
     nonzero discriminant.  The content of f, p-power or not, is ignored:
     discriminant_valuation(2x^2 + 2, 2) is 2, the valuation for x^2 + 1.
     A p that is not a prime raises ArgumentError, checked first.
-    """
-    return _discriminant_valuation(f, p)[0]
 
-
-def _discriminant_valuation(f: IntPoly, p: int) -> tuple[int, bool]:
-    """discriminant_valuation(f, p), and whether p does not divide lc(f) and
-    f mod p is squarefree, which the pipeline also needs.
-
-    In that case the answer is 0 and no integer discriminant is computed:
-    Res(f, f') mod p is a unit times Res(f mod p, f' mod p), which is
-    nonzero.  Otherwise a squarefree f is its own squarefree part up to
-    content, and exactly then its discriminant is nonzero; only the rest
-    needs the gcd(f, f').  p is checked to be a prime first.
+    When p does not divide lc(f) and f mod p is squarefree, it is 0 with no
+    integer discriminant: Res(f, f') mod p is a unit times Res(f mod p,
+    f' mod p), which is nonzero.  Only an f with a repeated factor, whose
+    own discriminant is 0, needs the gcd(f, f').
     """
     check_prime(p)
     if _squarefree_mod_p(f, p):
-        return 0, True
+        return 0
     d = discriminant(f.primitive())
     if d == 0:
         d = discriminant(squarefree_part(f))
-    v = valuation(d, p)
-    assert v != float("inf")
-    return int(v), False
+    if d == 0:
+        raise InconsistentLengths(f"f of degree {f.degree}: its squarefree part has discriminant 0")
+    return valuation(d, p)
 
 
 def stability_threshold(f: IntPoly, p: int) -> int:
@@ -115,35 +108,35 @@ def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[Branc
     """The branches of g, where f = p^c * g and g has degree d, read off the
     lifting tree of f: one per maximal representative root at precision
     c + k0, in prefix order.  Below such a node at depth D, the chain of
-    single children to the tree's limit has used precisions U_D, U_(D+1), ...
-    that grow by one step e >= 1, the multiplicity.  Then nu = U_D - c - e*D
-    must be >= 0, and k0 must lie on the chain: U_D - (c + k0) < e.
+    single children, read to the tree's limit and to at least 3 records,
+    has used precisions U_D, U_(D+1), ... that grow by one step e >= 1, the
+    multiplicity.  Then nu = U_D - c - e*D must be >= 0, and k0 must lie on
+    the chain: U_D - (c + k0) < e.  Leaves of the walk are expanded as the
+    reader reaches them.
     """
     branches = []
     for n, prefix in tree._at(c + k0):
         _, _, depth, top = tree.nodes[n]
         used = [top]
-        while used[-1] < tree.k and len(tree.kids[n]) == 1:
-            n = tree.kids[n][0]
+
+        def chain_error(reason: str) -> InconsistentLengths:
+            observed = f"prefix {prefix}, used precisions {', '.join(map(str, used))}"
+            return InconsistentLengths(f"{observed}: {reason}", prefix=prefix, used=tuple(used))
+
+        while used[-1] < tree.k or len(used) < 3:
+            kids = tree._expand(n)
+            if len(kids) != 1:
+                raise chain_error(f"a chain node has {len(kids)} children")
+            n = kids[0]
             used.append(tree.nodes[n][3])
-        observed = f"prefix {prefix}, used precisions {', '.join(map(str, used))}"
-        chain = {"prefix": prefix, "used": tuple(used)}
-        if used[-1] < tree.k:
-            raise InconsistentLengths(
-                f"{observed}: a chain node has {len(tree.kids[n])} children below {tree.k}", **chain
-            )
-        if len(used) < 2:
-            raise InconsistentLengths(f"{observed}: fewer than two records on the chain", **chain)
         e = used[1] - used[0]
         if any(b - a != e for a, b in zip(used, used[1:])):
-            raise InconsistentLengths(f"{observed}: the steps are not one constant e", **chain)
+            raise chain_error("the steps are not one constant e")
         if top - (c + k0) >= e:
-            raise InconsistentLengths(
-                f"{observed}: precision {c + k0} is not on the chain", **chain
-            )
+            raise chain_error(f"precision {c + k0} is not on the chain")
         nu = top - c - e * depth
         if nu < 0:
-            raise InconsistentLengths(f"{observed}: negative branch valuation {nu}", **chain)
+            raise chain_error(f"negative branch valuation {nu}")
         branches.append(BranchParams(e, nu, k0 + (nu - k0) % e, prefix))
     total = sum(b.multiplicity for b in branches)
     if total > d:
@@ -179,68 +172,54 @@ def _run_pipeline(
 ) -> tuple[ZetaReport, _LiftingTree]:
     """The report of f = p^c * g and the one lifting tree of f it is read
     from: the branches of g from the chains of the tree's maximal
-    representative roots at precision c + k0, each checked down to the
-    tree's limit, and P and Z from the root counts below T = c + k0 + 2m,
-    where m bounds the branch multiplicities.
-    In general m = d, the degree of g.  When p does not divide lc(g) and
-    g mod p is squarefree, every root mod p is simple, so by Hensel's lemma
-    every branch has e = 1 and m = 1: den0 * P then has degree below
-    c + k0 + 2, and every chain's top is at exactly c + k0, so the walk to
-    T + 1 still leaves each chain 4 records and the fit check 2 coefficients.
-    For a constant g, T = c + 2: then P = 1 + t + ... + t^c, so den0 * P has
-    degree c + 1 below T.  The tree is walked to T + 1, or with kmax to
-    max(c + kmax, c + k0 + 2d + 2), c + 4 for a constant g: every precision
-    verify_instance checks.
+    representative roots at precision top = c + k0, and P and Z from the
+    root counts below top and the branches' closed form from top on.
+    For a constant g, top = c + 1: P = 1 + t + ... + t^c has no tail.
+    The tree is walked to top, or with kmax to max(c + kmax, c + k0 + 2d + 2),
+    c + 4 for a constant g: every precision verify_instance checks.
     """
     c, g = content_and_primitive(f, p)
     delta = k0 = None
-    branches = ()
-    top = full = c + 2
+    top, deep = c + 1, c + 4
     if g.degree >= 1:
-        delta, simple = _discriminant_valuation(g, p)
+        delta = discriminant_valuation(g, p)
         k0 = g.degree * (delta + 1) + 1
-        full = c + k0 + 2 * g.degree
-        top = c + k0 + 2 if simple else full
-    tree = _LiftingTree(f, p, top + 1 if kmax is None else max(c + kmax, full + 2))
-    if k0 is not None:
-        branches = tuple(_extract_branches(tree, c, g.degree, k0))
-    poincare, zeta = _poincare_and_zeta(
-        p, tree.counts(), {b.multiplicity for b in branches}, top
-    )
+        top, deep = c + k0, c + k0 + 2 * g.degree + 2
+    tree = _LiftingTree(f, p, top if kmax is None else max(c + kmax, deep))
+    branches = () if k0 is None else tuple(_extract_branches(tree, c, g.degree, k0))
+    poincare, zeta = _poincare_and_zeta(p, tree.counts()[:top], branches, c)
     return ZetaReport(f, p, c, delta, k0, branches, poincare, zeta), tree
 
 
 def _poincare_and_zeta(
-    p: int, counts: list[int], multiplicities: set[int], top: int
+    p: int, head: list[int], branches: tuple[BranchParams, ...], c: int
 ) -> tuple[RationalFunction, RationalFunction]:
-    """P and Z, each read off the root counts N_0 .. N_last over a
-    denominator known in advance and reduced once.
+    """P and Z of f = p^c * g, each reduced once: P is the head
+    sum_(j < top) N_j (t/p)^j, from the root counts N_0 .. N_(top-1), plus
+    one closed-form tail per branch b of g.
 
-    From k0 on, N_k follows the closed form of the branches, so
-    den0 * P is a polynomial of degree below top, where
-    den0 = (1 - t) * prod (p - t^e) over the distinct branch multiplicities
-    e.  The counts below top therefore fix that polynomial, and its
-    coefficients from top through last must vanish.
+    From top on, b adds p^(-l) t^j to P, where l = b.prefix_length(j - c)
+    grows by 1 every e = b.multiplicity precisions, so its tail is
+    p * S_b / (p - t^e) with S_b = sum_(j = top)^(top + e - 1) p^(-l) t^j.
+    Over p^s * prod (p - t^e), one factor per distinct e and s = top + max e,
+    every coefficient is an integer.
     """
-    multiplicities = sorted(multiplicities)
-    one_minus_t = IntPoly((1, -1))
-    den0 = one_minus_t
-    for e in multiplicities:
-        den0 = den0 * IntPoly([p] + [0] * (e - 1) + [-1])
-    # sum_j N_j (t/p)^j, times p^last so that every coefficient is an integer
-    last = len(counts) - 1
-    head = (den0 * IntPoly(n * p ** (last - j) for j, n in enumerate(counts))).coeffs
-    if any(head[top : last + 1]):
-        raise InconsistentLengths(
-            f"root counts at precisions {top}..{last} do not fit"
-            f" the branch multiplicities {multiplicities}",
-            counts=tuple(counts),
-            multiplicities=tuple(multiplicities),
-        )
-    num = IntPoly(head[:top])
-    den = den0 * p**last
+    top = len(head)
+    s = top + max((b.multiplicity for b in branches), default=0)
+    num, den = IntPoly(n * p ** (s - j) for j, n in enumerate(head)), IntPoly([1])
+    for e in sorted({b.multiplicity for b in branches}):
+        # P = num / (p^s * den) throughout; the branches of step e add
+        # T_e / (p^s * (p - t^e)), where T_e sums p^(s + 1) * S_b over them.
+        tail = [0] * top + [
+            sum(p ** (s + 1 - b.prefix_length(j - c)) for b in branches if b.multiplicity == e)
+            for j in range(top, top + e)
+        ]
+        factor = IntPoly([p] + [0] * (e - 1) + [-1])
+        num = num * factor + IntPoly(tail) * den
+        den = den * factor
+    den = den * p**s
     # Z = (1 - (1 - t) P) / t; the shift is exact because P(0) = N_0 = 1.
-    zeta_num = IntPoly((den - one_minus_t * num).coeffs[1:])
+    zeta_num = IntPoly((den - IntPoly((1, -1)) * num).coeffs[1:])
     return RationalFunction(num, den), RationalFunction(zeta_num, den)
 
 

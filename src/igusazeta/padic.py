@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ArgumentError, IdenticallyZeroModP
+from .errors import ArgumentError, IdenticallyZeroModP, InconsistentLengths
 from .exactpoly import IntPoly, compose_linear, content_and_primitive, decimal_text
 
 DEFAULT_SCAN_THRESHOLD = 1 << 16
@@ -417,7 +417,8 @@ class _LiftingTree:
     node below the root is one digit r of a root: its polynomial is the
     parent's with x -> r + p*x substituted, content stripped.  A node whose
     used precision reaches k is not expanded: every extension of its digits
-    is a root mod p^k.
+    is a root mod p^k.  It keeps its polynomial, so that the branch reader
+    can follow a chain past k one node at a time.
     """
 
     def __init__(self, f: IntPoly, p: int, k: int):
@@ -425,30 +426,47 @@ class _LiftingTree:
         self.p, self.k = p, k
         c, g = content_and_primitive(f, p)
         # (parent, digit, depth, used precision) per node; parents come first.
-        # kids[n]: node n's children, in digit order.
+        # kids[n]: node n's children, in digit order; polys[n]: its polynomial
+        # while it is not expanded.
         self.nodes = [(-1, 0, 0, c)]
         self.kids: list[list[int]] = [[]]
-        stack = [(0, g)] if c < k else []
+        self.cover = [c]
+        self.polys = {0: g}
+        stack = [0] if c < k else []
         while stack:
-            node, g = stack.pop()
-            _, _, depth, used = self.nodes[node]
-            for r in roots_mod_p(g, p):
-                v, h = content_and_primitive(compose_linear(g, r, p), p)
-                assert v >= 1, "substituting a root of g mod p must divide out p"
-                self.kids[node].append(len(self.nodes))
-                self.kids.append([])
-                self.nodes.append((node, r, depth + 1, used + v))
-                if used + v < k:
-                    stack.append((len(self.nodes) - 1, h))
+            stack += [m for m in self._expand(stack.pop()) if self.nodes[m][3] < k]
         # cover[n]: the largest precision at which every extension of node n's
         # digits is a root.  A node whose p children are all covered at some
         # precision is covered there too, so the children merge into it.  A
         # child's cover is never below its parent's, so node n is the maximal
         # representative root mod p^j exactly for j in (cover[parent], cover[n]].
-        self.cover = [used for _, _, _, used in self.nodes]
         for n in range(len(self.nodes) - 1, -1, -1):
             if len(self.kids[n]) == p:
                 self.cover[n] = max(self.cover[n], min(self.cover[m] for m in self.kids[n]))
+
+    def _expand(self, node: int) -> list[int]:
+        """The node's children, recorded first if it is not expanded yet: one
+        per root r of its polynomial g mod p, in digit order, whose used
+        precision adds the p-content v >= 1 of g(r + p*x).  A child of a leaf
+        past k is covered at its own used precision, above k, so no answer up
+        to k changes.
+        """
+        g = self.polys.pop(node, None)
+        if g is not None:
+            _, _, depth, used = self.nodes[node]
+            for r in roots_mod_p(g, self.p):
+                v, h = content_and_primitive(compose_linear(g, r, self.p), self.p)
+                if v < 1:
+                    raise InconsistentLengths(
+                        f"digit {r} at depth {depth + 1} is no root mod {self.p}:"
+                        f" substituting it divided out p^{v}"
+                    )
+                self.kids[node].append(len(self.nodes))
+                self.kids.append([])
+                self.polys[len(self.nodes)] = h
+                self.nodes.append((node, r, depth + 1, used + v))
+                self.cover.append(used + v)
+        return self.kids[node]
 
     def _at(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
         """The maximal representative roots mod p^k, as (node, digits) pairs

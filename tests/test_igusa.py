@@ -14,7 +14,6 @@ from igusazeta.exactpoly import (
 from igusazeta.igusa import (
     BranchParams,
     _extract_branches,
-    _poincare_and_zeta,
     _run_pipeline,
     closed_form_count,
     discriminant_valuation,
@@ -199,10 +198,12 @@ class _FakeTree(_LiftingTree):
     Each row (prefix, used) is one branch: the node at the end of prefix is
     a maximal representative root at precision 7, and below it hangs a chain
     of digit-1 children.  The row's used precisions run from that node down.
+    A row's last node that reaches 12 is a leaf the walk left unexpanded; its
+    polynomial is 1, so the chain has no record past it.
     """
 
     def __init__(self, *rows):
-        self.p, self.k, self.nodes, self.tops = 2, 12, [(-1, 0, 0, 0)], []
+        self.p, self.k, self.nodes, self.tops, self.polys = 2, 12, [(-1, 0, 0, 0)], [], {}
         for prefix, used in rows:
             parent = 0
             for depth, digit in enumerate(prefix, 1):
@@ -211,6 +212,8 @@ class _FakeTree(_LiftingTree):
             self.tops.append((parent, tuple(prefix)))
             for depth, u in enumerate(used[1:], len(prefix) + 1):
                 self.nodes.append((len(self.nodes) - 1, 1, depth, u))
+            if used[-1] >= self.k:
+                self.polys[len(self.nodes) - 1] = IntPoly([1])
         _index_children(self)
 
     def _at(self, k):
@@ -224,8 +227,9 @@ def _branches_of(tree):
 
 class TestInconsistentLengths:
     def test_fabricated_length_sequence_is_rejected(self):
-        # a branch whose length never grows: its chain has only its top record
-        with pytest.raises(InconsistentLengths, match="used precisions 12: fewer than two"):
+        # a branch whose length never grows: its chain ends at its top record,
+        # a leaf with no child to read a second record from
+        with pytest.raises(InconsistentLengths, match="precisions 12: a chain node has 0 children"):
             _branches_of(_FakeTree(((1, 1), (12,))))
 
     def test_changing_branch_count_is_rejected(self):
@@ -279,7 +283,7 @@ class TestInconsistentLengths:
 
     def test_prefix_matching_no_root_is_rejected(self):
         # the node at precision 7 has no child, though it is not covered at 12
-        with pytest.raises(InconsistentLengths, match="has 0 children below 12"):
+        with pytest.raises(InconsistentLengths, match="precisions 7: a chain node has 0 children"):
             _branches_of(_FakeTree(((1,), (7,))))
 
     def test_chain_that_dies_before_the_walks_limit_is_rejected(self):
@@ -295,7 +299,7 @@ class TestInconsistentLengths:
             _branches_of(tree)
         assert str(err.value) == (
             "prefix (1, 0, 0, 0, 0, 0), used precisions 7, 8, 9, 10, 11:"
-            " a chain node has 0 children below 12"
+            " a chain node has 0 children"
         )
 
     def test_multiplicity_above_degree_is_rejected(self):
@@ -307,14 +311,14 @@ class TestInconsistentLengths:
         with pytest.raises(InconsistentLengths) as err:
             _branches_of(_FakeTree(((0, 1, 1), (7, 9, 10, 12))))
         assert (err.value.prefix, err.value.used) == ((0, 1, 1), (7, 9, 10, 12))
-        assert err.value.multiplicities is err.value.degree is err.value.counts is None
+        assert err.value.multiplicities is err.value.degree is None
 
     def test_multiplicity_error_carries_the_multiplicities_and_the_degree(self):
         tree = _FakeTree(((1, 1, 1), (7, 9, 11, 13)), ((0, 1, 1), (7, 9, 11, 13)))
         with pytest.raises(InconsistentLengths, match="multiplicity 4 exceeds the degree 3") as err:
             _extract_branches(tree, 0, 3, 7)
         assert (err.value.multiplicities, err.value.degree) == ((2, 2), 3)
-        assert err.value.prefix is err.value.used is err.value.counts is None
+        assert err.value.prefix is err.value.used is None
 
 
 class TestRootCount:
@@ -401,43 +405,6 @@ def test_pipeline_rejects_composite_p(call, p):
 def test_zero_polynomial_rejected(call):
     with pytest.raises(ZeroPolynomial):
         call(IntPoly())
-
-
-class TestAssemblyConsistency:
-    @pytest.mark.parametrize("text, p", [("x^2", 3), ("x^2 - 1", 2), ("x^4 - 5*x^3", 5)])
-    def test_wrong_multiplicity_is_rejected(self, text, p):
-        # Every multiplicity is off by one, so a true factor p - t^e of the
-        # denominator is missing and den0 * P is no polynomial.
-        result, tree = _run_pipeline(parse_poly(text), p)
-        counts = tree.counts()
-        top = len(counts) - 2
-        true = {b.multiplicity for b in result.branches}
-        _poincare_and_zeta(p, counts, true, top)  # the true multiplicities fit
-        with pytest.raises(InconsistentLengths, match="do not fit"):
-            _poincare_and_zeta(p, counts, {e + 1 for e in true}, top)
-
-    def test_corrupted_last_count_at_verify_depth_is_rejected(self):
-        # A verification tree goes past T + 1; every coefficient from T on
-        # is checked, so a wrong count beyond the report's depth is caught.
-        f, p = parse_poly("x^2 - 1"), 2
-        result, tree = _run_pipeline(f, p, kmax=20)
-        counts = tree.counts()
-        top = result.content_shift + result.stable_precision + 2 * f.degree
-        assert len(counts) - 1 > top + 1
-        true = {b.multiplicity for b in result.branches}
-        _poincare_and_zeta(p, counts, true, top)
-        counts[-1] += 1
-        with pytest.raises(InconsistentLengths, match="do not fit"):
-            _poincare_and_zeta(p, counts, true, top)
-
-    def test_fit_error_carries_the_counts_and_the_multiplicities(self):
-        # x^2 at 3: one branch of multiplicity 2; claiming 1 and 3 instead
-        _, tree = _run_pipeline(X2, 3)
-        counts = tree.counts()
-        with pytest.raises(InconsistentLengths, match=r"multiplicities \[1, 3\]") as err:
-            _poincare_and_zeta(3, counts, {3, 1}, len(counts) - 2)
-        assert (err.value.counts, err.value.multiplicities) == (tuple(counts), (1, 3))
-        assert err.value.prefix is err.value.used is err.value.degree is None
 
 
 class TestClosedFormCount:
@@ -541,31 +508,44 @@ class TestReport:
 
 
 class TestWalkDepth:
-    # delta = 0 does not make the roots mod p simple: p may divide neither the
-    # discriminant of the squarefree part nor lc(f) while f mod p has a square
-    # factor.  Such a report walks to c + k0 + 2d + 1; only f squarefree mod p
-    # bounds every multiplicity by 1 and the walk by c + k0 + 3.
-    @pytest.mark.parametrize(
-        "f, p, branches",
-        [
-            ((X - 1) ** 3, 3, [(3, 0)]),
-            (X**4, 2, [(4, 0)]),
-            ((X - 1) ** 2 * (X + 1), 5, [(2, 0), (1, 0)]),
-        ],
-    )
-    def test_delta_zero_with_a_multiple_root_walks_the_full_depth(self, f, p, branches):
-        result, tree = _run_pipeline(f, p)
-        assert result.disc_valuation == 0
-        assert [(b.multiplicity, b.valuation) for b in result.branches] == branches
-        assert tree.k == result.content_shift + result.stable_precision + 2 * f.degree + 1
+    # A report walks its tree to c + k0 and no further, and the branch reader
+    # takes each chain to exactly 3 records, expanding a leaf of the walk one
+    # node at a time.  (x - 1)^3 at 3 and x^4 at 2 have delta = 0 and a chain
+    # of step e > (d + 2)/2; x^2 - 2 and 7x^2 - 14 at 7 are squarefree mod 7.
+    CASES = {
+        "x-1_cubed_at_3": ((X - 1) ** 3, 3, [(3, 0)]),
+        "x4_at_2": (X**4, 2, [(4, 0)]),
+        "x-1_sq_x+1_at_5": ((X - 1) ** 2 * (X + 1), 5, [(2, 0), (1, 0)]),
+        "x2-2_at_7": (X2 - 2, 7, [(1, 0), (1, 0)]),
+        "7x2-14_at_7": (7 * X2 - 14, 7, [(1, 0), (1, 0)]),
+    }
 
-    @pytest.mark.parametrize("f, p", [(X2 - 2, 7), (7 * X2 - 14, 7)])
-    def test_squarefree_mod_p_walks_three_levels_past_c_plus_k0(self, f, p):
+    @pytest.mark.parametrize("case", CASES)
+    def test_walk_to_c_plus_k0_and_3_records_per_chain(self, case):
+        f, p, branches = self.CASES[case]
         result, tree = _run_pipeline(f, p)
         c, k0 = result.content_shift, result.stable_precision
-        assert [(b.multiplicity, b.valuation) for b in result.branches] == [(1, 0), (1, 0)]
-        assert tree.k == c + k0 + 3
+        assert [(b.multiplicity, b.valuation) for b in result.branches] == branches
+        assert tree.k == c + k0
+        for n, _ in tree._at(c + k0):
+            records = [n]
+            while tree.kids[records[-1]]:
+                (child,) = tree.kids[records[-1]]
+                records.append(child)
+            assert len(records) == 3
+            assert records[-1] in tree.polys  # a leaf not expanded yet
         assert result == _run_pipeline(f, p, kmax=k0 + 2 * f.degree + 2)[0]
+
+    @pytest.mark.parametrize("text, p", CORPUS + [("x^3 - 3*x^2 + 3*x - 1", 3)])
+    def test_reading_chains_past_the_walk_changes_no_shallow_answer(self, text, p):
+        f = parse_poly(text)
+        result, tree = _run_pipeline(f, p)
+        fresh = _LiftingTree(f, p, tree.k)
+        # every chain was read past the walk, so the tree grew
+        assert len(tree.nodes) > len(fresh.nodes) or not result.branches
+        assert tree.counts() == fresh.counts()
+        for k in range(1, tree.k + 1):
+            assert tree.roots(k) == fresh.roots(k), k
 
     def test_mod_p_squarefree_test_runs_once_per_report(self, monkeypatch):
         calls = []

@@ -4,7 +4,12 @@ import random
 import pytest
 
 from igusazeta import padic
-from igusazeta.errors import ArgumentError, IdenticallyZeroModP, ZetaError
+from igusazeta.errors import (
+    ArgumentError,
+    IdenticallyZeroModP,
+    InconsistentLengths,
+    ZetaError,
+)
 from igusazeta.exactpoly import IntPoly, content_and_primitive, valuation
 from igusazeta.igusa import report, stability_threshold
 from igusazeta.oracle import brute_count, brute_rep_roots
@@ -521,6 +526,17 @@ class TestLiftingTree:
         tree = _LiftingTree(IntPoly([-1, 0, 1]), 2, 5)
         with pytest.raises(ArgumentError):
             tree.roots(6)
+
+    def test_a_digit_that_is_no_root_is_a_typed_error(self, monkeypatch):
+        # x^2 + 1 has no root mod 3; a digit 0 substituted anyway leaves
+        # 9x^2 + 1, with no p to divide out.  This check is a raise, not an
+        # assert, so it also runs under python -O.
+        monkeypatch.setattr(padic, "roots_mod_p", lambda g, p: [0])
+        with pytest.raises(InconsistentLengths) as err:
+            _LiftingTree(IntPoly([1, 0, 1]), 3, 4)
+        assert str(err.value) == (
+            "digit 0 at depth 1 is no root mod 3: substituting it divided out p^0"
+        )
 
 
 class TestRepRootType:

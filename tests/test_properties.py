@@ -1,8 +1,8 @@
 """Property tests: the pipeline against the brute-force oracle, the
 oracle's root levels against the definition of a root, the lifting tree
 against a plain walk from the definitions and the branches against a deeper
-walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, the
-report of an f squarefree mod p against the full-depth walk, the
+walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, a
+report against the full-depth walk on those and on f squarefree mod p, the
 discriminant valuation against its definition, the packed x^e mod (m, p) of
 the splitting backend against a schoolbook square-and-multiply, the F_p gcd
 against plain Euclid, compose_linear against the binomial expansion, and
@@ -10,6 +10,7 @@ parse_poly against IntPoly.to_text."""
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,6 @@ from igusazeta.exactpoly import (
     valuation,
 )
 from igusazeta.igusa import (
-    _poincare_and_zeta,
     _run_pipeline,
     discriminant_valuation,
     stability_threshold,
@@ -61,7 +61,8 @@ def test_series_holds_past_the_counts_it_was_built_from(instance):
     f, p = instance
     c, g = content_and_primitive(f, p)
     if g.degree >= 1:
-        # P is read off N_0 .. N_(c + k0 + 2d + 1) at most; check well beyond that.
+        # P is built from N_0 .. N_(c + k0 - 1) and the branches' closed-form
+        # tails; check well beyond c + k0.
         kmax = c + stability_threshold(g, p) + 4 * g.degree
     else:
         kmax = c + 4
@@ -125,23 +126,35 @@ def simple_instances(draw):
     return p ** draw(st.integers(0, 3)) * g, p
 
 
+def _assert_report_matches_the_full_depth_walk(f, p):
+    # A report walks to c + k0 and reads each chain to 3 records; a walk to
+    # c + k0 + 2d + 2, the depth of a verification, checks every chain down
+    # to there and gives the same branches (prefixes included), P and Z.
+    # P's tails past c + k0 expand to that walk's counts, at any p.
+    result, tree = _run_pipeline(f, p)
+    c, k0, d = result.content_shift, result.stable_precision, f.degree
+    assert tree.k == c + k0
+    deep, deep_tree = _run_pipeline(f, p, kmax=k0 + 2 * d + 2)
+    assert deep_tree.k == c + k0 + 2 * d + 2
+    assert (result.branches, result.poincare, result.zeta) == (
+        deep.branches,
+        deep.poincare,
+        deep.zeta,
+    )
+    counts = deep_tree.counts()
+    assert result.poincare.series(deep_tree.k) == [Fraction(n, p**k) for k, n in enumerate(counts)]
+
+
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(simple_instances())
 def test_squarefree_mod_p_report_matches_the_full_depth_walk(instance):
-    # Every multiplicity is 1, so the report walks to c + k0 + 3 only; a walk
-    # to c + k0 + 2d + 2, read with the general top c + k0 + 2d, gives the
-    # same branches (prefixes included), P and Z.
-    f, p = instance
-    result, tree = _run_pipeline(f, p)
-    c, k0, d = result.content_shift, result.stable_precision, f.degree
-    assert tree.k == c + k0 + 3
-    deep, deep_tree = _run_pipeline(f, p, kmax=k0 + 2 * d + 2)
-    assert deep_tree.k == c + k0 + 2 * d + 2
-    assert result.branches == deep.branches
-    multiplicities = {b.multiplicity for b in deep.branches}
-    assert multiplicities <= {1}
-    full = _poincare_and_zeta(p, deep_tree.counts(), multiplicities, c + k0 + 2 * d)
-    assert (result.poincare, result.zeta) == (deep.poincare, deep.zeta) == full
+    _assert_report_matches_the_full_depth_walk(*instance)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(products())
+def test_report_matches_the_full_depth_walk(instance):
+    _assert_report_matches_the_full_depth_walk(*instance)
 
 
 @st.composite
