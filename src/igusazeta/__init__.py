@@ -45,12 +45,7 @@ from .igusa import (
     ZetaReport,
     closed_form_count,
     discriminant_valuation,
-    extract_branches,
-    poincare_series,
     report,
-    root_count,
-    stability_threshold,
-    zeta_function,
 )
 from .cli import parse_poly
 

@@ -154,7 +154,7 @@ def _result(args: argparse.Namespace, f: IntPoly) -> tuple[dict, str, int]:
     p = args.prime
     head = {"poly": f.to_text(), "prime": str(p)}
     if args.command == "count":
-        n = igusa.root_count(f, p, args.k)
+        n = padic.count_roots(f, p, args.k)
         text = decimal_text(n)
         return {**head, "k": args.k, "count": text}, text, 0
     if args.command == "rep-roots":

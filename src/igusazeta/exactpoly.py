@@ -51,9 +51,15 @@ class IntPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
+        plain = True
         for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
+            if type(c) is not int:
+                if not isinstance(c, int):
+                    raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
+                plain = False
+        if not plain:
+            # An int subclass, such as bool, is stored as the int it stands for.
+            cs = [int(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -9,7 +9,7 @@ assert_tree_matches compares it with the lifting tree.
 from functools import lru_cache
 
 from igusazeta.exactpoly import IntPoly, compose_linear, content_and_primitive
-from igusazeta.igusa import stability_threshold
+from igusazeta.igusa import discriminant_valuation
 from igusazeta.padic import RepRoot, _LiftingTree
 
 
@@ -68,7 +68,9 @@ def assert_tree_matches(f: IntPoly, p: int, roots_up_to: int = 15) -> None:
     representative roots at every k <= roots_up_to equal the plain walk's.
     """
     c, g = content_and_primitive(f, p)
-    top = c + stability_threshold(g, p) + 2 * g.degree + 1
+    # k0 from delta, which walks no tree
+    k0 = g.degree * (discriminant_valuation(g, p) + 1) + 1
+    top = c + k0 + 2 * g.degree + 1
     tree = _LiftingTree(f, p, max(top, roots_up_to))
     counts = tree.counts()
     for k in range(top + 1):

@@ -10,14 +10,7 @@ import time
 from fractions import Fraction
 
 from igusazeta.exactpoly import IntPoly, content_and_primitive, discriminant
-from igusazeta.igusa import (
-    closed_form_count,
-    poincare_series,
-    report,
-    root_count,
-    stability_threshold,
-    zeta_function,
-)
+from igusazeta.igusa import closed_form_count, report
 from igusazeta.oracle import brute_count, brute_rep_roots
 from igusazeta.padic import count_roots, representative_roots
 from igusazeta.ratfun import RationalFunction
@@ -61,7 +54,7 @@ def test_criterion_1_oracle_equivalence_counts():
     for text, f, p in _instances():
         for k in _ks_within_budget(p):
             expected = brute_count(f, p, k)
-            actual = root_count(f, p, k)
+            actual = count_roots(f, p, k)
             if expected != actual:
                 failures.append((text, p, k, expected, actual))
     elapsed = time.monotonic() - started
@@ -99,7 +92,7 @@ def test_criterion_3_closed_form_regime():
         else:
             # constant primitive part: no branches, count must vanish beyond c
             for k in range(c + 1, c + 6):
-                if root_count(f, p, k) != 0:
+                if count_roots(f, p, k) != 0:
                     failures.append((text, p, k))
     _criterion(3, "closed-form counts match the recursion on the stable window", failures)
 
@@ -109,12 +102,12 @@ def test_criterion_4_series_consistency():
     for text, f, p in _instances():
         _, g = content_and_primitive(f, p)
         if g.degree >= 1:
-            kmax = stability_threshold(g, p) + 2 * g.degree + 2
+            kmax = report(g, p).stable_precision + 2 * g.degree + 2
         else:
             kmax = 10
-        coeffs = poincare_series(f, p).series(kmax)
+        coeffs = report(f, p).poincare.series(kmax)
         for k in range(kmax + 1):
-            want = Fraction(root_count(f, p, k), p**k)
+            want = Fraction(count_roots(f, p, k), p**k)
             if coeffs[k] != want:
                 failures.append((text, p, k, str(want), str(coeffs[k])))
     _criterion(4, "Poincare series coefficients equal N_k / p^k exactly", failures)
@@ -126,11 +119,11 @@ def test_criterion_5_known_closed_forms():
     x2 = IntPoly([0, 0, 1])
     for p in (2, 3, 5, 101):
         want_linear = RF(IntPoly([p - 1]), IntPoly([p, -1]))
-        got_linear = zeta_function(x, p)
+        got_linear = report(x, p).zeta
         if got_linear != want_linear:
             failures.append(("x", p, got_linear))
         want_square = RF(IntPoly([p - 1]), IntPoly([p, 0, -1]))
-        got_square = zeta_function(x2, p)
+        got_square = report(x2, p).zeta
         if got_square != want_square:
             failures.append(("x^2", p, got_square))
     _criterion(5, "zeta(x,p) = (p-1)/(p-t) and zeta(x^2,p) = (p-1)/(p-t^2)", failures)
@@ -139,10 +132,10 @@ def test_criterion_5_known_closed_forms():
 def test_criterion_6_degree_bounds():
     failures = []
     for text, f, p in _instances():
-        P = poincare_series(f, p)
+        P = report(f, p).poincare
         c, g = content_and_primitive(f, p)
         d = f.degree
-        bound_num = stability_threshold(g, p) + 2 * d if g.degree >= 1 else c
+        bound_num = report(g, p).stable_precision + 2 * d if g.degree >= 1 else c
         if P.den.degree > d + 1:
             failures.append((text, p, "den", P.den.degree))
         if P.num.degree > bound_num:
@@ -172,7 +165,8 @@ def test_criterion_7_squarefree_constancy():
 def test_criterion_8_poincare_zeta_identity():
     failures = []
     for text, f, p in _instances():
-        if not _poincare_zeta_identity(poincare_series(f, p), zeta_function(f, p)):
+        r = report(f, p)
+        if not _poincare_zeta_identity(r.poincare, r.zeta):
             failures.append((text, p))
     _criterion(8, "(1-t)*P(t) + t*Z(t) = 1, cleared of denominators", failures)
 
@@ -205,7 +199,7 @@ def test_criterion_9_scaling_smoke():
     kmax = k0 + 2 * d + 2
     coeffs_series = rep.poincare.series(kmax)
     for k in range(kmax + 1):
-        if coeffs_series[k] != Fraction(root_count(f, p, k), p**k):
+        if coeffs_series[k] != Fraction(count_roots(f, p, k), p**k):
             failures.append(("series", k))
 
     # criterion 6

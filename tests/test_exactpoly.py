@@ -71,6 +71,12 @@ class TestIntPolyBasics:
         with pytest.raises(TypeError):
             IntPoly([1.5])
 
+    def test_int_subclass_coefficients_are_stored_as_int(self):
+        # bool is an int subclass: True used to be stored, and printed, as True
+        f = IntPoly([True, False, True])
+        assert [type(c) for c in f.coeffs] == [int, int, int]
+        assert RationalFunction(f).to_json_dict() == {"num": ["1", "0", "1"], "den": ["1"]}
+
     def test_arithmetic(self):
         f = IntPoly([1, 1])
         assert (f * f).coeffs == (1, 2, 1)

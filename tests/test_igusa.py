@@ -1,7 +1,9 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import igusazeta
 from igusazeta.errors import ArgumentError, InconsistentLengths, RegimeViolation, ZeroPolynomial
 from igusazeta import igusa
 from igusazeta.exactpoly import (
@@ -17,12 +19,7 @@ from igusazeta.igusa import (
     _run_pipeline,
     closed_form_count,
     discriminant_valuation,
-    extract_branches,
-    poincare_series,
     report,
-    root_count,
-    stability_threshold,
-    zeta_function,
 )
 from igusazeta.oracle import verify_instance
 from igusazeta.padic import _LiftingTree, count_roots, representative_roots
@@ -129,14 +126,14 @@ class TestDiscriminantValuation:
         # 2x^2 + 2 = 2 (x^2 + 1), and D(x^2 + 1) = -4
         f = IntPoly([2, 0, 2])
         assert discriminant_valuation(f, 2) == 2
-        assert stability_threshold(f, 2) == 7 == report(f, 2).stable_precision
+        assert report(f, 2).stable_precision == 7
 
 
 class TestStabilityThreshold:
     def test_examples(self):
-        assert stability_threshold(QUADRATIC, 2) == 5
-        assert stability_threshold(X2, 3) == 3
-        assert stability_threshold(X2_MINUS_1, 2) == 7
+        assert report(QUADRATIC, 2).stable_precision == 5
+        assert report(X2, 3).stable_precision == 3
+        assert report(X2_MINUS_1, 2).stable_precision == 7
 
 
 class TestBranchParams:
@@ -155,26 +152,26 @@ class TestBranchParams:
 
 class TestExtractBranches:
     def test_simple_branch(self):
-        branches = extract_branches(QUADRATIC, 2)
+        branches = list(report(QUADRATIC, 2).branches)
         assert len(branches) == 1
         b = branches[0]
         assert (b.multiplicity, b.valuation, b.k_align) == (1, 0, 5)
         assert b.prefix == (1, 1, 1, 1, 1)
 
     def test_double_root(self):
-        branches = extract_branches(X2, 3)
+        branches = list(report(X2, 3).branches)
         assert len(branches) == 1
         b = branches[0]
         assert (b.multiplicity, b.valuation, b.k_align) == (2, 0, 4)
 
     def test_two_branches(self):
-        branches = extract_branches(X2_MINUS_1, 2)
+        branches = list(report(X2_MINUS_1, 2).branches)
         assert len(branches) == 2
         for b in branches:
             assert (b.multiplicity, b.valuation, b.k_align) == (1, 1, 7)
 
     def test_no_branches(self):
-        assert extract_branches(IntPoly([1, 0, 1]), 3) == []
+        assert list(report(IntPoly([1, 0, 1]), 3).branches) == []
 
     @pytest.mark.parametrize(
         "text, p", [("4*x^2 + 8", 2), ("9*x^2 - 27", 3), ("8*x^3 + 16*x", 2), ("12", 2)]
@@ -182,7 +179,7 @@ class TestExtractBranches:
     def test_content_input_has_the_branches_of_its_primitive_part(self, text, p):
         f = parse_poly(text)
         _, g = content_and_primitive(f, p)
-        assert extract_branches(f, p) == extract_branches(g, p)
+        assert list(report(f, p).branches) == list(report(g, p).branches)
 
 
 def _index_children(tree):
@@ -290,7 +287,7 @@ class TestInconsistentLengths:
         # x^2 - 1 at 2 (k0 = 7): the chain of prefix 1,0,0,0,0,0 has used
         # precisions 7..12; moving its last record to the root ends it at 11.
         tree = _LiftingTree(X2_MINUS_1, 2, 12)
-        assert _branches_of(tree) == extract_branches(X2_MINUS_1, 2)
+        assert _branches_of(tree) == list(report(X2_MINUS_1, 2).branches)
         _, digit, depth, used = tree.nodes[-1]
         assert (depth, used) == (11, 12)
         tree.nodes[-1] = (0, digit, depth, used)
@@ -325,7 +322,7 @@ class TestRootCount:
     def test_negative_precision(self):
         # with content 2 this used to return the float 2**-1
         with pytest.raises(ArgumentError, match="nonnegative"):
-            root_count(IntPoly([12]), 2, -1)
+            count_roots(IntPoly([12]), 2, -1)
 
 
 class TestPrimeBelowTwo:
@@ -334,7 +331,6 @@ class TestPrimeBelowTwo:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda f, p: root_count(f, p, 2),
             lambda f, p: count_roots(f, p, 2),
             lambda f, p: count_roots(f, p, 0),
             lambda f, p: representative_roots(f, p, 2),
@@ -343,7 +339,6 @@ class TestPrimeBelowTwo:
             lambda f, p: verify_instance(f, p, 2),
         ],
         ids=[
-            "root_count",
             "count_roots",
             "count_roots_k0",
             "representative_roots",
@@ -366,7 +361,7 @@ class TestPrimeBelowTwo:
         (0, "p must be at least 2"),
     ],
 )
-@pytest.mark.parametrize("call", [discriminant_valuation, stability_threshold])
+@pytest.mark.parametrize("call", [discriminant_valuation])
 def test_discriminant_rejects_p_that_is_not_prime(call, p, message):
     # x^2 + 1 at 4 used to give delta = 1 and k0 = 5
     with pytest.raises(ArgumentError, match=message):
@@ -376,14 +371,8 @@ def test_discriminant_rejects_p_that_is_not_prime(call, p, message):
 @pytest.mark.parametrize("p", [4, 6])
 @pytest.mark.parametrize(
     "call",
-    [
-        report,
-        poincare_series,
-        zeta_function,
-        extract_branches,
-        lambda f, p: verify_instance(f, p, 2),
-    ],
-    ids=["report", "poincare_series", "zeta_function", "extract_branches", "verify_instance"],
+    [report, lambda f, p: verify_instance(f, p, 2)],
+    ids=["report", "verify_instance"],
 )
 def test_pipeline_rejects_composite_p(call, p):
     # 12*x + 12 at 6 used to fail inside branch extraction with
@@ -395,12 +384,10 @@ def test_pipeline_rejects_composite_p(call, p):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda f: root_count(f, 3, 2),
         lambda f: count_roots(f, 3, 2),
         lambda f: representative_roots(f, 3, 2),
-        lambda f: extract_branches(f, 3),
     ],
-    ids=["root_count", "count_roots", "representative_roots", "extract_branches"],
+    ids=["count_roots", "representative_roots"],
 )
 def test_zero_polynomial_rejected(call):
     with pytest.raises(ZeroPolynomial):
@@ -409,18 +396,18 @@ def test_zero_polynomial_rejected(call):
 
 class TestClosedFormCount:
     def test_two_simple_branches(self):
-        branches = extract_branches(X2_MINUS_1, 2)
+        branches = list(report(X2_MINUS_1, 2).branches)
         assert closed_form_count(branches, 2, 10, 7) == 4
 
     def test_double_root(self):
-        branches = extract_branches(X2, 3)
+        branches = list(report(X2, 3).branches)
         assert closed_form_count(branches, 3, 8, 3) == 81
 
     def test_empty(self):
         assert closed_form_count([], 3, 9, 3) == 0
 
     def test_regime_violation(self):
-        branches = extract_branches(X2_MINUS_1, 2)
+        branches = list(report(X2_MINUS_1, 2).branches)
         with pytest.raises(RegimeViolation):
             closed_form_count(branches, 2, 6, 7)
 
@@ -433,32 +420,32 @@ class TestClosedFormCount:
 class TestPoincareSeries:
     def test_linear(self):
         for p in (2, 3, 5, 7, 101):
-            assert poincare_series(X, p) == RF(IntPoly([p]), IntPoly([p, -1]))
+            assert report(X, p).poincare == RF(IntPoly([p]), IntPoly([p, -1]))
 
     def test_square(self):
         for p in (2, 3, 5, 101):
-            assert poincare_series(X2, p) == RF(IntPoly([p, 1]), IntPoly([p, 0, -1]))
+            assert report(X2, p).poincare == RF(IntPoly([p, 1]), IntPoly([p, 0, -1]))
 
     def test_constant_with_content(self):
-        assert poincare_series(IntPoly([12]), 2) == RF(IntPoly([1, 1, 1]))
+        assert report(IntPoly([12]), 2).poincare == RF(IntPoly([1, 1, 1]))
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            poincare_series(IntPoly(), 3)
+            report(IntPoly(), 3).poincare
 
 
 class TestZetaFunction:
     def test_linear(self):
         for p in (2, 3, 5, 7, 101):
-            assert zeta_function(X, p) == RF(IntPoly([p - 1]), IntPoly([p, -1]))
+            assert report(X, p).zeta == RF(IntPoly([p - 1]), IntPoly([p, -1]))
 
     def test_square(self):
         for p in (2, 3, 5, 101):
-            assert zeta_function(X2, p) == RF(IntPoly([p - 1]), IntPoly([p, 0, -1]))
+            assert report(X2, p).zeta == RF(IntPoly([p - 1]), IntPoly([p, 0, -1]))
 
     def test_unit_constant(self):
-        assert zeta_function(IntPoly([1]), 5) == RF(IntPoly([1]))
-        assert zeta_function(IntPoly([1]), 2) == RF(IntPoly([1]))
+        assert report(IntPoly([1]), 5).zeta == RF(IntPoly([1]))
+        assert report(IntPoly([1]), 2).zeta == RF(IntPoly([1]))
 
 
 class TestReport:
@@ -579,13 +566,12 @@ class TestPipelineInvariants:
         for f, p in _instances():
             _, g = content_and_primitive(f, p)
             if g.degree >= 1:
-                k0 = stability_threshold(g, p)
-                kmax = k0 + 2 * g.degree + 2
+                kmax = report(g, p).stable_precision + 2 * g.degree + 2
             else:
                 kmax = 8
-            coeffs = poincare_series(f, p).series(kmax)
+            coeffs = report(f, p).poincare.series(kmax)
             for k in range(kmax + 1):
-                assert coeffs[k] == Fraction(root_count(f, p, k), p**k)
+                assert coeffs[k] == Fraction(count_roots(f, p, k), p**k)
 
     def test_closed_form_matches_recursion(self):
         for f, p in _instances():
@@ -602,8 +588,8 @@ class TestPipelineInvariants:
             _, g = content_and_primitive(f, p)
             if g.degree < 1:
                 continue
-            k0 = stability_threshold(g, p)
-            n = len(extract_branches(g, p))
+            result = report(g, p)
+            k0, n = result.stable_precision, result.n
             for k in range(k0, k0 + 2 * g.degree + 3):
                 assert len(representative_roots(g, p, k)) == n
 
@@ -638,11 +624,11 @@ class TestPipelineInvariants:
 
     def test_degree_bounds(self):
         for f, p in _instances():
-            P = poincare_series(f, p)
+            P = report(f, p).poincare
             c, g = content_and_primitive(f, p)
             d = f.degree
             if g.degree >= 1:
-                bound_num = stability_threshold(g, p) + 2 * d
+                bound_num = report(g, p).stable_precision + 2 * d
             else:
                 # constant primitive part: P is the content polynomial 1+...+t^(c-1)+t^c
                 bound_num = c
@@ -653,6 +639,29 @@ class TestPipelineInvariants:
         # (1 - t) P + t Z = 1, cleared of denominators
         one_minus_t, t = IntPoly([1, -1]), IntPoly([0, 1])
         for f, p in _instances():
-            P = poincare_series(f, p)
-            Z = zeta_function(f, p)
+            r = report(f, p)
+            P, Z = r.poincare, r.zeta
             assert one_minus_t * P.num * Z.den + t * Z.num * P.den == P.den * Z.den
+
+
+def test_each_public_name_is_its_own_object():
+    # One name per result: report(f, p) carries delta, k0, the branches, P and
+    # Z, and count_roots counts, so no public name is another one's alias.
+    public = {
+        name: value
+        for name, value in vars(igusazeta).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    public.update((name, getattr(igusazeta, name)) for name in igusazeta._ORACLE_NAMES)
+    names_of = {}
+    for name, value in public.items():
+        names_of.setdefault(id(value), []).append(name)
+    assert [names for names in names_of.values() if len(names) > 1] == []
+    for name in (
+        "extract_branches",
+        "poincare_series",
+        "root_count",
+        "stability_threshold",
+        "zeta_function",
+    ):
+        assert not hasattr(igusazeta, name), name

@@ -9,7 +9,7 @@ from igusazeta.errors import ArgumentError, BudgetExceeded
 from igusazeta.exactpoly import IntPoly, decimal_text
 from igusazeta import oracle, padic
 from igusazeta.exactpoly import content_and_primitive
-from igusazeta.igusa import report, root_count
+from igusazeta.igusa import report
 from igusazeta.oracle import (
     _fmt_reps,
     brute_count,
@@ -291,7 +291,7 @@ class TestVerifyInstance:
                 kind, k = check.name.split(" k=")
                 k = int(k)
                 if kind == "count":
-                    assert check.actual == str(root_count(f, p, k)), (text, p, k)
+                    assert check.actual == str(count_roots(f, p, k)), (text, p, k)
                 elif kind == "rep-roots":
                     want = _fmt_reps(representative_roots(g, p, k))
                     assert check.actual == want, (text, p, k)

@@ -11,7 +11,7 @@ from igusazeta.errors import (
     ZetaError,
 )
 from igusazeta.exactpoly import IntPoly, content_and_primitive, valuation
-from igusazeta.igusa import report, stability_threshold
+from igusazeta.igusa import report
 from igusazeta.oracle import brute_count, brute_rep_roots
 from igusazeta.padic import (
     RepRoot,
@@ -471,7 +471,7 @@ class TestLiftingTree:
         # families representative_roots returns, which is what count_roots sums.
         for f, p in self._instances():
             c, g = content_and_primitive(f, p)
-            top = c + stability_threshold(g, p) + 2 * g.degree + 1
+            top = c + report(g, p).stable_precision + 2 * g.degree + 1
             tree = _LiftingTree(f, p, top)
             counts = tree.counts()
             assert len(counts) == top + 1 and counts[0] == 1
@@ -494,7 +494,7 @@ class TestLiftingTree:
         # the order of roots(k) and of a report's branches is the descent's own
         for f, p in self._instances():
             c, g = content_and_primitive(f, p)
-            tree = _LiftingTree(f, p, c + stability_threshold(g, p) + 2 * g.degree + 1)
+            tree = _LiftingTree(f, p, c + report(g, p).stable_precision + 2 * g.degree + 1)
             for k in range(1, tree.k + 1):
                 found = tree._at(k)
                 for n, digits in found:
@@ -509,7 +509,7 @@ class TestLiftingTree:
     def test_children_are_indexed_once_in_digit_order(self):
         for f, p in self._instances():
             c, g = content_and_primitive(f, p)
-            top = c + stability_threshold(g, p) + 2 * g.degree + 1
+            top = c + report(g, p).stable_precision + 2 * g.degree + 1
             self._assert_children_and_cover(_LiftingTree(f, p, top))
 
     @pytest.mark.parametrize("p, m", CLUSTERS)

@@ -26,11 +26,7 @@ from igusazeta.exactpoly import (
     squarefree_part,
     valuation,
 )
-from igusazeta.igusa import (
-    _run_pipeline,
-    discriminant_valuation,
-    stability_threshold,
-)
+from igusazeta.igusa import _run_pipeline, discriminant_valuation, report
 from igusazeta.oracle import _root_levels, verify_instance
 from igusazeta.padic import _fp_gcd, _fp_powmod, _fp_trim, _squarefree_mod_p
 
@@ -63,7 +59,7 @@ def test_series_holds_past_the_counts_it_was_built_from(instance):
     if g.degree >= 1:
         # P is built from N_0 .. N_(c + k0 - 1) and the branches' closed-form
         # tails; check well beyond c + k0.
-        kmax = c + stability_threshold(g, p) + 4 * g.degree
+        kmax = c + report(g, p).stable_precision + 4 * g.degree
     else:
         kmax = c + 4
     result = verify_instance(f, p, kmax, budget=10**3)
