@@ -100,7 +100,8 @@ def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[Branc
     reader reaches them.
     """
     branches = []
-    for n, prefix in tree._at(c + k0):
+    [tops] = tree._at(c + k0)
+    for n, prefix in tops:
         _, _, depth, top = tree.nodes[n]
         used = [top]
 

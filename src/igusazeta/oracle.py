@@ -14,13 +14,13 @@ polynomials, so a fault in the tree cannot hide in it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import ArgumentError, BudgetExceeded
-from .exactpoly import IntPoly, content_and_primitive, decimal_text
+from .exactpoly import IntPoly, decimal_text
+from .exactpoly import content_and_primitive  # noqa: F401  rebound by benchmarks/tracer.py
 from .igusa import _run_pipeline, closed_form_count
 from .igusa import poincare_series, root_count  # noqa: F401  rebound by benchmarks/tracer.py
 from .padic import RepRoot, check_prime
@@ -44,27 +44,27 @@ def _check_budget(p: int, k: int, budget: int) -> None:
         )
 
 
-@contextmanager
-def _in_memory(n: int):
-    try:
-        yield
-    except MemoryError:
-        raise BudgetExceeded(f"an array of {n} residues does not fit in memory", size=n) from None
+def _does_not_fit(n: int) -> BudgetExceeded:
+    return BudgetExceeded(f"an array of {n} residues does not fit in memory", size=n)
 
 
 def _root_levels(f: IntPoly, p: int, K: int) -> Iterator[list[int]]:
     """The sorted list of roots of f mod p^k, for k = 0, 1, ..., K.
 
     The caller checks p^K with _check_budget.  Only the previous level is
-    kept while the next is built, and no level is longer than p^K.
+    kept while the next is built, and no level is longer than p^K.  A level
+    that does not fit in memory raises BudgetExceeded with its number of
+    candidates.
     """
     roots = [0]
     m = 1
     yield roots
     for _ in range(K):
         step, m = m, m * p
-        with _in_memory(p * len(roots)):
+        try:
             roots = _next_level(f, roots, step, m)
+        except MemoryError:  # the level's p * len(roots) candidates
+            raise _does_not_fit(p * len(roots)) from None
         yield roots
 
 
@@ -92,15 +92,18 @@ def _next_level(f: IntPoly, roots: list[int], step: int, m: int) -> list[int]:
     return out
 
 
-def _rep_roots(roots: list[int], p: int, k: int) -> list[RepRoot]:
-    """The decomposition that _decompose builds from the roots mod p^k."""
+def _rep_digits(roots: list[int], p: int, k: int) -> list[tuple[int, ...]]:
+    """The digit strings of the maximal representative roots mod p^k of a
+    level's roots, as _decompose builds them."""
     reps: list[tuple[int, ...]] = []
-    with _in_memory(len(roots)):  # the grouping of the roots allocates
+    try:  # the grouping of the roots allocates
         if roots:
             _decompose(roots, p, k, 0, (), reps)
+    except MemoryError:
+        raise _does_not_fit(len(roots)) from None
     # _decompose visits the digits in increasing order, depth first, so the
     # prefixes come out sorted.
-    return [RepRoot(p=p, k=k, digits=d) for d in reps]
+    return reps
 
 
 def _roots_mod(f: IntPoly, p: int, k: int, budget: int) -> list[int]:
@@ -123,7 +126,7 @@ def brute_rep_roots(
     root set, built greedily: a prefix is emitted once all of its extensions
     are roots while the one-digit-shorter prefix has a non-root extension.
     """
-    return _rep_roots(_roots_mod(f, p, k, budget), p, k)
+    return [RepRoot(p=p, k=k, digits=d) for d in _rep_digits(_roots_mod(f, p, k, budget), p, k)]
 
 
 def _decompose(
@@ -195,18 +198,17 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _fraction_text(q: Fraction | int | str) -> str:
-    # str(q), exact at any size; a string is taken as already written
-    if isinstance(q, str):
-        return q
+def _fraction_text(q: Fraction) -> str:
+    # str(q), exact at any size
     text = decimal_text(q.numerator)
     return text if q.denominator == 1 else f"{text}/{decimal_text(q.denominator)}"
 
 
-def _fmt_reps(reps: list[RepRoot]) -> str:
+def _fmt_reps(reps: list[tuple[int, ...]]) -> str:
+    """Representative roots, given by their digit strings, as one text."""
     if not reps:
         return "-"
-    return "|".join(",".join(map(str, r.digits)) if r.digits else "()" for r in reps)
+    return "|".join(",".join(map(str, d)) if d else "()" for d in reps)
 
 
 def verify_instance(
@@ -221,13 +223,14 @@ def verify_instance(
     checked first.  A budget below 1 enumerates nothing, so it raises
     BudgetExceeded.
 
-    The brute-force side is one pass over the root levels of f: each level
-    gives the count check, and the representative roots come from the same
-    level, or, when p | f, from the level of g enumerated alongside.  The
-    library side is the report of (f, p) and the one lifting tree it is read
-    from, walked deep enough to answer every precision checked.  With
-    f = p^c * g, the representative roots and closed-form counts are those
-    of g, read off the tree at precision c + k.
+    The library side is the report of (f, p) and the one lifting tree it is
+    read from, walked deep enough to answer every precision checked.  With
+    f = p^c * g, c the report's content shift, the representative roots and
+    closed-form counts are those of g, read off the tree at precision c + k:
+    one descent of the tree gives the digit strings at every precision.  The
+    brute-force side is one pass over the root levels of f: each level gives
+    the count check, and the representative roots come from the same level,
+    or, when c > 0, from the level of g enumerated alongside.
     """
     if kmax < 0:
         raise ArgumentError("kmax must be nonnegative")
@@ -238,28 +241,30 @@ def verify_instance(
         deepest += 1
     checks: list[CheckResult] = []
 
-    def check(name: str, expected: Fraction | int | str, actual: Fraction | int | str) -> None:
-        checks.append(
-            CheckResult(name, _fraction_text(expected), _fraction_text(actual), expected == actual)
-        )
+    def check(name: str, expected, actual, write) -> None:
+        # equal values have one text, so an equal pair is written once
+        text = write(expected)
+        passed = expected == actual
+        checks.append(CheckResult(name, text, text if passed else write(actual), passed))
 
-    c, g = content_and_primitive(f, p)
     result, tree = _run_pipeline(f, p, kmax)
-    k0 = result.stable_precision
+    c, k0 = result.content_shift, result.stable_precision
+    g = IntPoly(a // p**c for a in f.coeffs) if c else f
     counts = tree.counts()
+    tree_reps = tree._at(c + 1, c + deepest) if deepest else []
 
     f_levels = _root_levels(f, p, deepest)
     g_levels = _root_levels(g, p, deepest) if c else None
     reps: list[str] = []  # the expected representative roots, by k
     for k, roots in enumerate(f_levels):
-        check(f"count k={k}", len(roots), counts[k])
-        reps.append(_fmt_reps(_rep_roots(next(g_levels) if c else roots, p, k)))
-    for k in range(1, deepest + 1):
-        check(f"rep-roots k={k}", reps[k], _fmt_reps(tree.roots(c + k)))
+        check(f"count k={k}", len(roots), counts[k], decimal_text)
+        reps.append(_fmt_reps(_rep_digits(next(g_levels) if c else roots, p, k)))
+    for k, pairs in enumerate(tree_reps, 1):
+        check(f"rep-roots k={k}", reps[k], _fmt_reps([d for _, d in pairs]), str)
 
     series = result.poincare.series(kmax)
     for k in range(kmax + 1):
-        check(f"series k={k}", Fraction(counts[k], p**k), series[k])
+        check(f"series k={k}", Fraction(counts[k], p**k), series[k], _fraction_text)
 
     if g.degree >= 1:
         for k in range(k0, k0 + 2 * g.degree + 3):
@@ -267,6 +272,7 @@ def verify_instance(
                 f"closed-form k={k}",
                 counts[c + k] // p**c,
                 closed_form_count(result.branches, p, k, k0),
+                decimal_text,
             )
 
     return VerificationReport(

@@ -468,28 +468,40 @@ class _LiftingTree:
                 self.cover.append(used + v)
         return self.kids[node]
 
-    def _at(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
-        """The maximal representative roots mod p^k, as (node, digits) pairs
-        in digit-string order: the descent follows kids from the root, lowest
-        digit first, and stops on each path at the first node covered at k.
+    def _at(self, k: int, last: int | None = None) -> list[list[tuple[int, tuple[int, ...]]]]:
+        """For each precision j = k, ..., last (last defaults to k), the
+        maximal representative roots mod p^j, as (node, digits) pairs in
+        digit-string order.
+
+        One descent serves every j: it follows kids from the root, lowest
+        digit first, and lists node n under each j in (cover[parent],
+        cover[n]] (j <= cover[0] at the root), the precisions at which n is
+        maximal.  It stops on each path at the first node covered at last.
         """
-        if not 1 <= k <= self.k:
-            raise ArgumentError(f"precision {k} is outside 1..{self.k} of this tree")
-        out, path, stack = [], [], [0]
+        last = k if last is None else last
+        if not 1 <= k <= last <= self.k:
+            raise ArgumentError(f"precisions {k}..{last} are outside 1..{self.k} of this tree")
+        out: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(k, last + 1)]
+        path, stack = [], [0]
         while stack:
             n = stack.pop()
-            _, digit, depth, _ = self.nodes[n]
+            parent, digit, depth, _ = self.nodes[n]
             # path[j]: the digit at depth j on the way to n (0 at the root)
             path[depth:] = [digit]
-            if self.cover[n] >= k:
-                out.append((n, tuple(path[1:])))
-            else:
+            cover = self.cover[n]
+            if cover >= k:
+                pair = (n, tuple(path[1:]))
+                below = self.cover[parent] if depth else -1
+                for j in range(max(below + 1, k), min(cover, last) + 1):
+                    out[j - k].append(pair)
+            if cover < last:
                 stack += reversed(self.kids[n])
         return out
 
     def roots(self, k: int) -> list[RepRoot]:
         """The maximal representative roots mod p^k, sorted by digit string."""
-        return [RepRoot(p=self.p, k=k, digits=digits) for _, digits in self._at(k)]
+        [found] = self._at(k)
+        return [RepRoot(p=self.p, k=k, digits=digits) for _, digits in found]
 
     def counts(self) -> list[int]:
         """N_0 .. N_k: the number of roots mod p^j for every j <= k.

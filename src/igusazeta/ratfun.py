@@ -68,20 +68,31 @@ class RationalFunction:
     def series(self, order: int) -> list[Fraction]:
         """Maclaurin coefficients c_0 .. c_order, by the linear recurrence
         c_j = (num_j - sum_{i>=1} den_i * c_{j-i}) / den_0.
+
+        The recurrence runs on the integers a_j = den_0^(j+1) * c_j, for which
+        a_j = num_j * den_0^j - sum_{i>=1} den_i * den_0^(i-1) * a_{j-i},
+        and c_j is built once, as the Fraction a_j / den_0^(j+1).
         """
         if order < 0:
             raise ArgumentError("order must be nonnegative")
         den = self.den.coeffs
-        if den[0] == 0:
+        d = den[0]
+        if d == 0:
             raise PoleAtZero("denominator vanishes at t = 0")
         num = self.num.coeffs
         dd = len(den) - 1
+        # w[i] = den_i * d^(i-1) for i >= 1
+        w = [0] + [c * d ** (i - 1) for i, c in enumerate(den) if i]
+        a: list[int] = []
         out: list[Fraction] = []
+        power = 1  # d^j
         for j in range(order + 1):
-            s = Fraction(num[j] if j < len(num) else 0)
+            s = num[j] * power if j < len(num) else 0
             for i in range(1, min(j, dd) + 1):
-                s -= den[i] * out[j - i]
-            out.append(s / den[0])
+                s -= w[i] * a[j - i]
+            a.append(s)
+            power *= d
+            out.append(Fraction(s, power))
         return out
 
     def to_text(self) -> str:

@@ -215,7 +215,7 @@ class _FakeTree(_LiftingTree):
 
     def _at(self, k):
         assert k == 7
-        return self.tops
+        return [self.tops]
 
 
 def _branches_of(tree):
@@ -514,7 +514,8 @@ class TestWalkDepth:
         c, k0 = result.content_shift, result.stable_precision
         assert [(b.multiplicity, b.valuation) for b in result.branches] == branches
         assert tree.k == c + k0
-        for n, _ in tree._at(c + k0):
+        [tops] = tree._at(c + k0)
+        for n, _ in tops:
             records = [n]
             while tree.kids[records[-1]]:
                 (child,) = tree.kids[records[-1]]

@@ -496,7 +496,7 @@ class TestLiftingTree:
             c, g = content_and_primitive(f, p)
             tree = _LiftingTree(f, p, c + report(g, p).stable_precision + 2 * g.degree + 1)
             for k in range(1, tree.k + 1):
-                found = tree._at(k)
+                [found] = tree._at(k)
                 for n, digits in found:
                     path = []
                     while n > 0:

@@ -1,11 +1,13 @@
 """Property tests: the pipeline against the brute-force oracle, the
 oracle's root levels against the definition of a root, the lifting tree
-against a plain walk from the definitions and the branches against a deeper
-walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, a
+against a plain walk from the definitions, the tree's one descent over a
+range of precisions against its descent at each, and the branches against
+a deeper walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, a
 report against the full-depth walk on those and on f squarefree mod p, the
 discriminant valuation against its definition, the packed x^e mod (m, p) of
 the splitting backend against a schoolbook square-and-multiply, the F_p gcd
-against plain Euclid, compose_linear against the binomial expansion, and
+against plain Euclid, compose_linear against the binomial expansion,
+RationalFunction.series against a recurrence in Fraction arithmetic, and
 parse_poly against IntPoly.to_text."""
 
 import math
@@ -29,6 +31,7 @@ from igusazeta.exactpoly import (
 from igusazeta.igusa import _run_pipeline, discriminant_valuation, report
 from igusazeta.oracle import _root_levels, verify_instance
 from igusazeta.padic import _fp_gcd, _fp_powmod, _fp_trim, _squarefree_mod_p
+from igusazeta.ratfun import RationalFunction
 
 from reference_walk import assert_tree_matches
 from test_padic import LARGE_PRIMES, _fp_mul, fp_powmod_schoolbook
@@ -102,6 +105,23 @@ def test_branches_do_not_depend_on_walk_depth(instance, kmax):
     # is checked down to the tree's limit, not only near k0.
     f, p = instance
     assert _run_pipeline(f, p)[0].branches == _run_pipeline(f, p, kmax)[0].branches
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(products(), st.integers(0, 12), st.data())
+def test_one_descent_reads_the_roots_at_every_precision(instance, kmax, data):
+    # verify_instance reads the digit strings at c + 1 .. c + deepest from one
+    # descent; each precision must give what roots(j) gives on its own.
+    f, p = instance
+    result, tree = _run_pipeline(f, p, kmax)
+    c = result.content_shift
+    ranges = [(c + 1, c + kmax)] if kmax else []
+    first = data.draw(st.integers(1, tree.k))
+    ranges += [(1, tree.k), (first, data.draw(st.integers(first, tree.k)))]
+    for first, last in ranges:
+        found = [[digits for _, digits in pairs] for pairs in tree._at(first, last)]
+        want = [[r.digits for r in tree.roots(j)] for j in range(first, last + 1)]
+        assert found == want, (f.to_text(), p, first, last)
 
 
 @st.composite
@@ -263,3 +283,46 @@ def test_parse_poly_reads_back_to_text(coeffs, data):
     tokens = ["**" if t == "^" else t for t in re.findall(r"\d+|[-+*^x]", text)]
     respaced = "".join(data.draw(space) + t for t in tokens) + data.draw(space)
     assert parse_poly(respaced) == f
+
+
+def _series_by_fractions(num, den, order):
+    """c_0 .. c_order of num / den, by the recurrence c_j = (num_j -
+    sum_(i >= 1) den_i c_(j-i)) / den_0 in Fraction arithmetic."""
+    out = []
+    for j in range(order + 1):
+        s = Fraction(num[j] if j < len(num) else 0)
+        for i in range(1, min(j, len(den) - 1) + 1):
+            s -= den[i] * out[j - i]
+        out.append(s / den[0])
+    return out
+
+
+def _unreduced(num, den):
+    # The constructor reduces num / den and makes den[0] positive; the series
+    # recurrence must hold for the coefficients as given, of either sign.
+    r = object.__new__(RationalFunction)
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "den", den)
+    return r
+
+
+@st.composite
+def series_instances(draw):
+    # den[0] is a unit times a product of small primes (P's is p^s), of either
+    # sign and never +-1; num is zero now and then.
+    sign = draw(st.sampled_from([1, -1]))
+    den0 = sign * draw(st.sampled_from([2, 3, 4, 5, 8, 9, 12, 27, 32, 49, 2**20]))
+    den = IntPoly([den0] + draw(st.lists(st.integers(-50, 50), max_size=5)))
+    num = IntPoly(draw(st.one_of(st.just([]), st.lists(st.integers(-(10**6), 10**6), max_size=8))))
+    return num, den, draw(st.integers(0, 60))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(series_instances())
+def test_series_matches_the_fraction_recurrence(instance):
+    num, den, order = instance
+    want = _series_by_fractions(num.coeffs, den.coeffs, order)
+    for r in (_unreduced(num, den), RationalFunction(num, den)):
+        got = r.series(order)
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
