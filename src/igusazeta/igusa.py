@@ -6,11 +6,15 @@ f = p^c * g the lifting tree is walked to c + k0, k0 the stability threshold
 of g.  Each p-adic root branch is read off it: a chain of single children
 whose used precision grows by the same step at every level.  That step is
 the branch's multiplicity, and the chain's top record gives its valuation.
-P is the root counts below c + k0 plus one geometric tail per branch.
+A top linear mod p steps by 1 (Hensel's lemma), so only the other chains
+are read past the walk.  P is the root counts below c + k0 plus one
+geometric tail per branch, and P and Z are reduced by the known factors
+p - t^e of their denominator, with no polynomial gcd.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, InconsistentLengths, RegimeViolation
@@ -22,7 +26,7 @@ from .exactpoly import (
     squarefree_part,
     valuation,
 )
-from .padic import _LiftingTree, _squarefree_mod_p, check_prime, count_roots
+from .padic import _LiftingTree, _reduce_mod_p, _squarefree_mod_p, check_prime, count_roots
 from .padic import representative_roots  # noqa: F401  rebound by benchmarks/tracer.py
 from .ratfun import RationalFunction
 
@@ -93,11 +97,13 @@ def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[Branc
     """The branches of g, where f = p^c * g and g has degree d, read off the
     lifting tree of f: one per maximal representative root at precision
     c + k0, in prefix order.  Below such a node at depth D, the chain of
-    single children, read to the tree's limit and to at least 3 records,
-    has used precisions U_D, U_(D+1), ... that grow by one step e >= 1, the
-    multiplicity.  Then nu = U_D - c - e*D must be >= 0, and k0 must lie on
-    the chain: U_D - (c + k0) < e.  Leaves of the walk are expanded as the
-    reader reaches them.
+    single children has used precisions U_D, U_(D+1), ... that grow by one
+    step e >= 1, the multiplicity.  A top the walk left as a leaf whose
+    polynomial is linear mod p has e = 1 by Hensel's lemma and is not read
+    further.  Every other chain is read to the tree's limit and to at least
+    3 records, expanding the walk's leaves as the reader reaches them.  Then
+    nu = U_D - c - e*D must be >= 0, and k0 must lie on the chain:
+    U_D - (c + k0) < e.
     """
     branches = []
     [tops] = tree._at(c + k0)
@@ -109,15 +115,21 @@ def _extract_branches(tree: _LiftingTree, c: int, d: int, k0: int) -> list[Branc
             observed = f"prefix {prefix}, used precisions {', '.join(map(str, used))}"
             return InconsistentLengths(f"{observed}: {reason}", prefix=prefix, used=tuple(used))
 
-        while used[-1] < tree.k or len(used) < 3:
-            kids = tree._expand(n)
-            if len(kids) != 1:
-                raise chain_error(f"a chain node has {len(kids)} children")
-            n = kids[0]
-            used.append(tree.nodes[n][3])
-        e = used[1] - used[0]
-        if any(b - a != e for a, b in zip(used, used[1:])):
-            raise chain_error("the steps are not one constant e")
+        h = tree.polys.get(n)
+        if h is not None and len(_reduce_mod_p(h, tree.p)) == 2:
+            # Hensel's lemma: a leaf linear mod p has one simple root mod p,
+            # and so has each node below it, so its chain steps by e = 1.
+            e = 1
+        else:
+            while used[-1] < tree.k or len(used) < 3:
+                kids = tree._expand(n)
+                if len(kids) != 1:
+                    raise chain_error(f"a chain node has {len(kids)} children")
+                n = kids[0]
+                used.append(tree.nodes[n][3])
+            e = used[1] - used[0]
+            if any(b - a != e for a, b in zip(used, used[1:])):
+                raise chain_error("the steps are not one constant e")
         if top - (c + k0) >= e:
             raise chain_error(f"precision {c + k0} is not on the chain")
         nu = top - c - e * depth
@@ -184,12 +196,16 @@ def _poincare_and_zeta(
     grows by 1 every e = b.multiplicity precisions, so its tail is
     p * S_b / (p - t^e) with S_b = sum_(j = top)^(top + e - 1) p^(-l) t^j.
     Over p^s * prod (p - t^e), one factor per distinct e and s = top + max e,
-    every coefficient is an integer.
+    every coefficient is an integer.  Each t^e - p is irreducible over Q by
+    Eisenstein's criterion at p, and distinct e give coprime factors, so
+    either numerator shares with this denominator only factors p - t^e and
+    an integer: one exact trial division per e and one content gcd reduce it.
     """
     top = len(head)
-    s = top + max((b.multiplicity for b in branches), default=0)
+    steps = sorted({b.multiplicity for b in branches})
+    s = top + max(steps, default=0)
     num, den = IntPoly(n * p ** (s - j) for j, n in enumerate(head)), IntPoly([1])
-    for e in sorted({b.multiplicity for b in branches}):
+    for e in steps:
         # P = num / (p^s * den) throughout; the branches of step e add
         # T_e / (p^s * (p - t^e)), where T_e sums p^(s + 1) * S_b over them.
         tail = [0] * top + [
@@ -202,7 +218,33 @@ def _poincare_and_zeta(
     den = den * p**s
     # Z = (1 - (1 - t) P) / t; the shift is exact because P(0) = N_0 = 1.
     zeta_num = IntPoly((den - IntPoly((1, -1)) * num).coeffs[1:])
-    return RationalFunction(num, den), RationalFunction(zeta_num, den)
+    return _over_known_factors(num, den, p, steps), _over_known_factors(zeta_num, den, p, steps)
+
+
+def _over_known_factors(
+    num: IntPoly, den: IntPoly, p: int, steps: list[int]
+) -> RationalFunction:
+    """num / den in RationalFunction's canonical form, for a den of
+    p^s * prod_(e in steps) (p - t^e), whose lowest coefficient stays
+    positive."""
+    num_cs, den_cs = list(num.coeffs), list(den.coeffs)
+    for e in steps:
+        quotient = _divided_by_factor(num_cs, p, e)
+        if quotient is not None:
+            num_cs, den_cs = quotient, _divided_by_factor(den_cs, p, e)
+    g = math.gcd(*num_cs, *den_cs)
+    num, den = IntPoly(x // g for x in num_cs), IntPoly(x // g for x in den_cs)
+    return RationalFunction._from_parts(num, den)
+
+
+def _divided_by_factor(cs: list[int], p: int, e: int) -> list[int] | None:
+    """The coefficients of cs / (p - t^e), or None if it does not divide."""
+    # Divide by the monic t^e - p: the quotient ends in rem[e:], the
+    # remainder in rem[:e].
+    rem = list(cs)
+    for i in range(len(rem) - 1, e - 1, -1):
+        rem[i - e] += p * rem[i]
+    return None if any(rem[:e]) else [-x for x in rem[e:]]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ they are usually written.
 
 The type holds results and has no arithmetic: callers build the numerator
 and denominator as integer polynomials and let the constructor reduce them.
+A caller that knows the factors of its denominator, as the report does for
+P and Z, reduces by them itself and hands the parts to _from_parts.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ class RationalFunction:
                 num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _from_parts(cls, num: IntPoly, den: IntPoly) -> "RationalFunction":
+        """num / den as given, for a caller that has reduced them itself."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")

@@ -22,11 +22,13 @@ from igusazeta.igusa import (
     report,
 )
 from igusazeta.oracle import verify_instance
-from igusazeta.padic import _LiftingTree, count_roots, representative_roots
+from igusazeta.padic import _LiftingTree, _reduce_mod_p, count_roots, representative_roots
+from igusazeta import ratfun
 from igusazeta.ratfun import RationalFunction
 
 from corpus import CORPUS
-from igusazeta.cli import parse_poly
+from igusazeta.cli import main, parse_poly
+from test_cli import GOLDEN
 
 RF = RationalFunction
 
@@ -493,12 +495,37 @@ class TestReport:
         assert r.n == 0
         assert r.poincare == RF(IntPoly([1, 1, 1]))
 
+    def test_no_polynomial_gcd_reduces_p_and_z(self, monkeypatch, capsys):
+        # P and Z are reduced by the known factors p - t^e of their
+        # denominator.  Only RationalFunction's reduction is refused here:
+        # squarefree_part keeps its own gcd, as for x^2 at 2.
+        def refuse(f, g):
+            raise RuntimeError("poly_gcd on the report path")
+
+        monkeypatch.setattr(ratfun, "poly_gcd", refuse)
+        for f, p in _instances():
+            report(f, p)
+        cases = [c for c in GOLDEN if c["argv"][0] in ("report", "poincare", "zeta")]
+        assert len(cases) == 24
+        for case in cases:
+            assert main(case["argv"]) == case["code"]
+            assert capsys.readouterr().out == case["stdout"]
+
+
+def _linear_tops(tree, c, k0):
+    """Whether each maximal representative root at c + k0 is a leaf whose
+    polynomial is linear mod p, in prefix order."""
+    [tops] = tree._at(c + k0)
+    return [n in tree.polys and len(_reduce_mod_p(tree.polys[n], tree.p)) == 2 for n, _ in tops]
+
 
 class TestWalkDepth:
-    # A report walks its tree to c + k0 and no further, and the branch reader
-    # takes each chain to exactly 3 records, expanding a leaf of the walk one
-    # node at a time.  (x - 1)^3 at 3 and x^4 at 2 have delta = 0 and a chain
-    # of step e > (d + 2)/2; x^2 - 2 and 7x^2 - 14 at 7 are squarefree mod 7.
+    # A report walks its tree to c + k0 and no further.  The branch reader
+    # takes a chain whose top is linear mod p to no record past the top
+    # (Hensel's lemma gives e = 1), and every other chain to exactly 3
+    # records, expanding a leaf of the walk one node at a time.  (x - 1)^3
+    # at 3 and x^4 at 2 have delta = 0 and a chain of step e > (d + 2)/2;
+    # x^2 - 2 and 7x^2 - 14 at 7 are squarefree mod 7, so every top is linear.
     CASES = {
         "x-1_cubed_at_3": ((X - 1) ** 3, 3, [(3, 0)]),
         "x4_at_2": (X**4, 2, [(4, 0)]),
@@ -515,12 +542,14 @@ class TestWalkDepth:
         assert [(b.multiplicity, b.valuation) for b in result.branches] == branches
         assert tree.k == c + k0
         [tops] = tree._at(c + k0)
-        for n, _ in tops:
+        linear = _linear_tops(_LiftingTree(f, p, tree.k), c, k0)
+        assert linear == [e == 1 for e, _ in branches]
+        for (n, _), top_is_linear in zip(tops, linear):
             records = [n]
             while tree.kids[records[-1]]:
                 (child,) = tree.kids[records[-1]]
                 records.append(child)
-            assert len(records) == 3
+            assert len(records) == (1 if top_is_linear else 3)
             assert records[-1] in tree.polys  # a leaf not expanded yet
         assert result == _run_pipeline(f, p, kmax=k0 + 2 * f.degree + 2)[0]
 
@@ -529,8 +558,11 @@ class TestWalkDepth:
         f = parse_poly(text)
         result, tree = _run_pipeline(f, p)
         fresh = _LiftingTree(f, p, tree.k)
-        # every chain was read past the walk, so the tree grew
-        assert len(tree.nodes) > len(fresh.nodes) or not result.branches
+        # every chain whose top is not linear mod p was read past the walk,
+        # so the tree grew unless every top is linear
+        k0 = result.stable_precision
+        linear = [] if k0 is None else _linear_tops(fresh, result.content_shift, k0)
+        assert len(tree.nodes) > len(fresh.nodes) or all(linear)
         assert tree.counts() == fresh.counts()
         for k in range(1, tree.k + 1):
             assert tree.roots(k) == fresh.roots(k), k

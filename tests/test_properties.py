@@ -4,6 +4,8 @@ against a plain walk from the definitions, the tree's one descent over a
 range of precisions against its descent at each, and the branches against
 a deeper walk, on generated inputs f = unit * p^c * prod (a_i + p^j_i x)^e_i, a
 report against the full-depth walk on those and on f squarefree mod p, the
+chains below tops linear mod p against Hensel's step e = 1, the known-factor
+reduction of P and Z against RationalFunction's constructor, the
 discriminant valuation against its definition, the packed x^e mod (m, p) of
 the splitting backend against a schoolbook square-and-multiply, the F_p gcd
 against plain Euclid, compose_linear against the binomial expansion,
@@ -28,9 +30,23 @@ from igusazeta.exactpoly import (
     squarefree_part,
     valuation,
 )
-from igusazeta.igusa import _run_pipeline, discriminant_valuation, report
+from igusazeta.igusa import (
+    BranchParams,
+    _over_known_factors,
+    _poincare_and_zeta,
+    _run_pipeline,
+    discriminant_valuation,
+    report,
+)
 from igusazeta.oracle import _root_levels, verify_instance
-from igusazeta.padic import _fp_gcd, _fp_powmod, _fp_trim, _squarefree_mod_p
+from igusazeta.padic import (
+    _fp_gcd,
+    _fp_powmod,
+    _fp_trim,
+    _LiftingTree,
+    _reduce_mod_p,
+    _squarefree_mod_p,
+)
 from igusazeta.ratfun import RationalFunction
 
 from reference_walk import assert_tree_matches
@@ -143,9 +159,10 @@ def simple_instances(draw):
 
 
 def _assert_report_matches_the_full_depth_walk(f, p):
-    # A report walks to c + k0 and reads each chain to 3 records; a walk to
-    # c + k0 + 2d + 2, the depth of a verification, checks every chain down
-    # to there and gives the same branches (prefixes included), P and Z.
+    # A report walks to c + k0, takes e = 1 from each chain top linear mod p
+    # and reads every other chain to 3 records; a walk to c + k0 + 2d + 2,
+    # the depth of a verification, checks every chain down to there and
+    # gives the same branches (prefixes included), P and Z.
     # P's tails past c + k0 expand to that walk's counts, at any p.
     result, tree = _run_pipeline(f, p)
     c, k0, d = result.content_shift, result.stable_precision, f.degree
@@ -171,6 +188,105 @@ def test_squarefree_mod_p_report_matches_the_full_depth_walk(instance):
 @given(products())
 def test_report_matches_the_full_depth_walk(instance):
     _assert_report_matches_the_full_depth_walk(*instance)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.one_of(products(), simple_instances()))
+def test_linear_chain_tops_step_by_one(instance):
+    # The branch reader takes e = 1 from a top that the walk left as a leaf
+    # linear mod p, and expands nothing below it (Hensel's lemma).  Two more
+    # records of every such top, on a fresh tree, step by exactly 1.
+    f, p = instance
+    result, tree = _run_pipeline(f, p)
+    c, k0 = result.content_shift, result.stable_precision
+    fresh = _LiftingTree(f, p, tree.k)
+    [tops] = fresh._at(c + k0)
+    assert [prefix for _, prefix in tops] == [b.prefix for b in result.branches]
+    for (n, _), b in zip(tops, result.branches):
+        h = fresh.polys.get(n)
+        if h is None or len(_reduce_mod_p(h, p)) != 2:
+            continue
+        assert n in tree.polys and not tree.kids[n]
+        used = [fresh.nodes[n][3]]
+        for _ in range(2):
+            (n,) = fresh._expand(n)
+            used.append(fresh.nodes[n][3])
+        assert (b.multiplicity, used[1] - used[0], used[2] - used[1]) == (1, 1, 1)
+
+
+def _factor(p, e):
+    return IntPoly([p] + [0] * (e - 1) + [-1])
+
+
+@st.composite
+def assembly_instances(draw):
+    # The parts _poincare_and_zeta takes for f = p^c * g: the counts
+    # N_0 .. N_(top-1) and the branches of g.  A constant g has top = c + 1
+    # and no branch; a rootless g has N_j = p^j up to c, then 0, and no
+    # branch; otherwise the counts past c and the branches are random.
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    c = draw(st.integers(0, 3))
+    head = [p**j for j in range(c + 1)]
+    kind = draw(st.sampled_from(["constant", "rootless", "branches", "branches"]))
+    if kind == "constant":
+        return p, head, (), c
+    k0 = draw(st.integers(1, 8))
+    if kind == "rootless":
+        return p, head + [0] * (k0 - 1), (), c
+    head += [draw(st.integers(0, p**j)) for j in range(c + 1, c + k0)]
+    branches = []
+    for i in range(draw(st.integers(1, 4))):
+        e, nu = draw(st.integers(1, 4)), draw(st.integers(0, k0))
+        branches.append(BranchParams(e, nu, k0 + (nu - k0) % e, (i,)))
+    return p, head, tuple(branches), c
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(assembly_instances())
+def test_known_factor_reduction_matches_the_constructor(instance):
+    # P and Z rebuilt over p^S * prod_b (p - t^(e_b)), one factor per branch
+    # (so a repeated e repeats its factor) and S past the report's s, then
+    # reduced by RationalFunction's constructor.
+    p, head, branches, c = instance
+    top, S = len(head), 2 * len(head) + 4
+    factors = [_factor(p, b.multiplicity) for b in branches]
+    den = IntPoly([p**S])
+    num = IntPoly(n * p ** (S - j) for j, n in enumerate(head))
+    for factor in factors:
+        den, num = den * factor, num * factor
+    for i, b in enumerate(branches):
+        # the tail p * S_b / (p - t^e), S_b = sum_(top <= j < top + e) p^(-l) t^j
+        tail = IntPoly(
+            [0] * top
+            + [p ** (S + 1 - b.prefix_length(j - c)) for j in range(top, top + b.multiplicity)]
+        )
+        for factor in factors[:i] + factors[i + 1 :]:
+            tail = tail * factor
+        num = num + tail
+    zeta_num = IntPoly((den - IntPoly([1, -1]) * num).coeffs[1:])
+    want = (RationalFunction(num, den), RationalFunction(zeta_num, den))
+    assert _poincare_and_zeta(p, head, branches, c) == want
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.integers(1, 5), min_size=0, max_size=4, unique=True),
+    st.data(),
+)
+def test_known_factors_divide_out_as_the_gcd_does(p, steps, data):
+    # num is q times a chosen subset of the factors p - t^e and a power of p,
+    # so that exact divisions, and a zero num, come up.
+    steps.sort()
+    s = data.draw(st.integers(0, 6))
+    q = IntPoly(data.draw(st.lists(st.integers(-(p**3), p**3), max_size=6)))
+    num = q * p ** data.draw(st.integers(0, s + 1))
+    den = IntPoly([p**s])
+    for e in steps:
+        den = den * _factor(p, e)
+        if data.draw(st.booleans()):
+            num = num * _factor(p, e)
+    assert _over_known_factors(num, den, p, steps) == RationalFunction(num, den)
 
 
 @st.composite
@@ -297,15 +413,6 @@ def _series_by_fractions(num, den, order):
     return out
 
 
-def _unreduced(num, den):
-    # The constructor reduces num / den and makes den[0] positive; the series
-    # recurrence must hold for the coefficients as given, of either sign.
-    r = object.__new__(RationalFunction)
-    object.__setattr__(r, "num", num)
-    object.__setattr__(r, "den", den)
-    return r
-
-
 @st.composite
 def series_instances(draw):
     # den[0] is a unit times a product of small primes (P's is p^s), of either
@@ -322,7 +429,9 @@ def series_instances(draw):
 def test_series_matches_the_fraction_recurrence(instance):
     num, den, order = instance
     want = _series_by_fractions(num.coeffs, den.coeffs, order)
-    for r in (_unreduced(num, den), RationalFunction(num, den)):
+    # The constructor reduces num / den and makes den[0] positive; the series
+    # recurrence must hold for the coefficients as given, of either sign.
+    for r in (RationalFunction._from_parts(num, den), RationalFunction(num, den)):
         got = r.series(order)
         assert got == want
         assert all(type(c) is Fraction for c in got)
